@@ -9,11 +9,13 @@ counting is a Sturm sign count on the same recurrence.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zhetrd
+from scipy.linalg.lapack import zhetrd, zhetrd_lwork
 
 from .lattice import TridiagonalSymmetric
 
@@ -23,6 +25,11 @@ _RESCALE_LO = 1e-150
 # zero-pivot substitute for Sturm counting; negative sign breaks the tie
 # toward "not below" (an eigenvalue exactly at lambda is not counted)
 _PIVOT_SUB = -1e-300
+# below this order zhetrd runs on the calling thread only: waking the BLAS
+# pool per reduction costs more than it saves (n=64 on a 2-vCPU x86_64 VM:
+# 300 us serial against 280-510 us with 2 BLAS threads, at twice the CPU) and
+# makes the time per reduction swing with the load on the other core
+_SERIAL_BLAS_N = 400
 
 
 @dataclass(frozen=True)
@@ -72,18 +79,57 @@ class SignedLog:
         return SignedLog(1 if s > 0 else -1, m + math.log(abs(s)))
 
 
-def tridiagonalize(H: np.ndarray) -> TridiagonalSymmetric:
+@functools.lru_cache(maxsize=64)
+def _zhetrd_lwork(n: int) -> int:
+    work, info = zhetrd_lwork(n)
+    if info != 0:  # pragma: no cover - the workspace query cannot fail for n >= 1
+        raise RuntimeError(f"zhetrd_lwork failed with info={info}")
+    return int(work.real)
+
+
+@functools.cache
+def _blas_threads_local():
+    """OpenBLAS's per-thread `openblas_set_num_threads_local` behind scipy's LAPACK, or None.
+
+    It sets the BLAS thread count of the calling thread only and returns the
+    previous count, so other threads and the process-wide setting are left
+    alone.  Other BLAS builds and older OpenBLAS releases lack it; there the
+    reduction runs with whatever threading the library chooses.
+    """
+    try:
+        from scipy.linalg import _flapack
+        fn = ctypes.CDLL(_flapack.__file__).openblas_set_num_threads_local
+    except (ImportError, OSError, AttributeError):
+        return None
+    fn.argtypes = [ctypes.c_int]
+    fn.restype = ctypes.c_int
+    return fn
+
+
+def tridiagonalize(H: np.ndarray, overwrite_a: bool = False) -> TridiagonalSymmetric:
     """Householder reduction of a Hermitian matrix to real symmetric tridiagonal form.
 
     The result is unitarily similar to H (same characteristic polynomial);
     off-diagonals are normalized to be nonnegative, which leaves the
-    characteristic polynomial unchanged (diagonal +-1 similarity).
+    characteristic polynomial unchanged (diagonal +-1 similarity).  Only the
+    diagonal and upper triangle of H are read.  With `overwrite_a`, a
+    Fortran-ordered complex128 H is reduced in place (its contents are
+    destroyed) instead of being copied first.  The workspace is LAPACK's
+    optimal size, so the blocked reduction runs for n above its crossover.
+    Below `_SERIAL_BLAS_N` the reduction uses no BLAS threads besides the
+    calling one (where OpenBLAS allows it per thread).
     """
     H = np.asarray(H)
     n = H.shape[0]
     if n == 1:
         return TridiagonalSymmetric(np.array([H[0, 0].real]), np.zeros(0))
-    _, d, e, _, info = zhetrd(H)
+    set_local = _blas_threads_local() if n < _SERIAL_BLAS_N else None
+    prev = set_local(1) if set_local is not None else None
+    try:
+        _, d, e, _, info = zhetrd(H, lwork=_zhetrd_lwork(n), overwrite_a=overwrite_a)
+    finally:
+        if prev is not None:
+            set_local(prev)
     if info != 0:  # pragma: no cover - zhetrd cannot fail on finite input
         raise RuntimeError(f"zhetrd failed with info={info}")
     return TridiagonalSymmetric(d, np.abs(e))

@@ -18,6 +18,7 @@ import argparse
 import math
 import os
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -196,13 +197,15 @@ class _Progress:
         self.quiet = quiet
         self.done = 0
         self.last = time.monotonic()
+        self._lock = threading.Lock()  # `spectrum` steps from its worker threads
 
     def step(self, amount: int = 1):
-        self.done += amount
-        now = time.monotonic()
-        if not self.quiet and now - self.last >= _PROGRESS_INTERVAL:
-            self.last = now
-            print(f"{self.label}: {self.done}/{self.total}", file=sys.stderr)
+        with self._lock:
+            self.done += amount
+            now = time.monotonic()
+            if not self.quiet and now - self.last >= _PROGRESS_INTERVAL:
+                self.last = now
+                print(f"{self.label}: {self.done}/{self.total}", file=sys.stderr)
 
 
 def cmd_moment_scan(cfg: ExperimentConfig, quiet: bool) -> int:
@@ -243,27 +246,34 @@ def cmd_moment_scan(cfg: ExperimentConfig, quiet: bool) -> int:
 
 
 def _spectrum_counts(cfg: ExperimentConfig, edges: np.ndarray, progress: _Progress) -> np.ndarray:
-    """Pooled eigenvalue counts below each edge, summed over samples in index order."""
+    """Pooled eigenvalue counts below each edge, summed over all samples."""
     profile = (covariance_profile(Lattice1D(cfg.n_dim), cfg.bandwidth)
                if cfg.ensemble == "band" else None)
 
-    counts = np.zeros((cfg.samples, len(edges)), dtype=np.int64)
-
-    def one(i: int):
-        stream = sampler.RngStream(cfg.seed, i)
-        H = (sampler.sample_rbm(profile, stream) if profile is not None
-             else sampler.sample_gue(cfg.n_dim, stream))
-        T = charpoly.tridiagonalize(H)
-        counts[i] = charpoly.count_below_many(T.d[None, :], T.e[None, :] ** 2, edges)[0]
+    def one(i: int) -> np.ndarray:
+        buf = np.empty((cfg.n_dim, cfg.n_dim), dtype=complex, order="F")
+        H = next(sampler.upper_samples(cfg.ensemble, cfg.n_dim, profile,
+                                       sampler.RngStream(cfg.seed, i), 1, buf))
+        T = charpoly.tridiagonalize(H, overwrite_a=True)
+        counts = charpoly.count_below_many(T.d[None, :], T.e[None, :] ** 2, edges)[0]
         progress.step()
+        return counts
 
+    # integer sums do not depend on the order the rows arrive in
+    pooled = np.zeros(len(edges), dtype=np.int64)
     if cfg.threads > 1:
         with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            list(ex.map(one, range(cfg.samples)))
+            try:
+                for counts in ex.map(one, range(cfg.samples)):
+                    pooled += counts
+            except BaseException:
+                # a failed sample or Ctrl-C: drop the queued samples instead of running them
+                ex.shutdown(cancel_futures=True)
+                raise
     else:
         for i in range(cfg.samples):
-            one(i)
-    return counts.sum(axis=0)
+            pooled += one(i)
+    return pooled
 
 
 def cmd_spectrum(cfg: ExperimentConfig, quiet: bool) -> int:

@@ -177,18 +177,18 @@ def _eval_chunk(kind: str, n: int, profile, lambdas, seed, start, count,
                 signs_out, logs_out):
     """Fill one fixed block of the output arrays; pure function of its arguments."""
     stream = sampler.RngStream(seed, start)
-    H = sampler.sample_batch(kind, n, profile, stream, count)
     if n <= _SMALL_N_BATCH:
-        d, e = charpoly.tridiagonalize_batch(H)
+        d, e = charpoly.tridiagonalize_batch(
+            sampler.sample_batch(kind, n, profile, stream, count))
     else:
         d = np.empty((count, n))
-        e = np.empty((count, max(n - 1, 1)))
-        for b in range(count):
-            t = charpoly.tridiagonalize(H[b])
+        e = np.empty((count, n - 1))
+        buf = np.empty((n, n), dtype=complex, order="F")
+        for b, H in enumerate(sampler.upper_samples(kind, n, profile, stream, count, buf)):
+            t = charpoly.tridiagonalize(H, overwrite_a=True)
             d[b] = t.d
-            e[b, : n - 1] = t.e
-    e2 = e[:, : n - 1] ** 2 if n > 1 else np.zeros((count, 0))
-    s, lg = charpoly.char_det_many(d, e2, lambdas)
+            e[b] = t.e
+    s, lg = charpoly.char_det_many(d, e ** 2, lambdas)
     signs_out[start:start + count] = s
     logs_out[start:start + count] = lg
 
@@ -230,11 +230,16 @@ def det_log_samples(ensemble: str, n: int, W: float | None, lambdas,
                           start, count, signs, logs)
                 for start, count in jobs
             ]
-            for f, (_, count) in zip(futures, jobs):
-                f.result()
-                done += count
-                if progress is not None:
-                    progress(done, samples)
+            try:
+                for f, (_, count) in zip(futures, jobs):
+                    f.result()
+                    done += count
+                    if progress is not None:
+                        progress(done, samples)
+            except BaseException:
+                # a failed block or Ctrl-C: drop the queued blocks instead of running them
+                ex.shutdown(cancel_futures=True)
+                raise
     else:
         for start, count in jobs:
             _eval_chunk(ensemble, n, profile, lambdas, seed, start, count, signs, logs)

@@ -8,6 +8,7 @@ Hermitian by construction; only the upper triangle is drawn.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,6 +110,14 @@ def gue_profile(n: int) -> CovarianceProfile:
     return CovarianceProfile(np.full((n, n), 1.0 / n), float(n))
 
 
+def _scales(kind: str, n: int, profile: CovarianceProfile | None) -> tuple[np.ndarray, np.ndarray]:
+    if kind == "band":
+        return _band_scales(profile)
+    if kind == "gue":
+        return _gue_scales(n)
+    raise ValueError(f"unknown ensemble kind {kind!r}")
+
+
 def sample_batch(kind: str, n: int, profile: CovarianceProfile | None,
                  stream: RngStream, count: int) -> np.ndarray:
     """Stack of `count` Hermitian samples drawn from a single substream.
@@ -117,13 +126,33 @@ def sample_batch(kind: str, n: int, profile: CovarianceProfile | None,
     block is a pure function of (stream, count); callers that key the stream
     by a fixed block start index get thread-count-independent results.
     """
-    if kind == "band":
-        sd_diag, sd_off = _band_scales(profile)
-    elif kind == "gue":
-        sd_diag, sd_off = _gue_scales(n)
-    else:
-        raise ValueError(f"unknown ensemble kind {kind!r}")
+    sd_diag, sd_off = _scales(kind, n, profile)
     g = stream.generator()
     A = g.standard_normal((count, n, n))
     B = g.standard_normal((count, n, n))
     return _hermitian_from_normals(A, B, sd_diag, sd_off)
+
+
+def upper_samples(kind: str, n: int, profile: CovarianceProfile | None,
+                  stream: RngStream, count: int, out: np.ndarray) -> Iterator[np.ndarray]:
+    """The samples of `sample_batch`, written one at a time into `out` and yielded.
+
+    `out` is an (n, n) complex array, Fortran-ordered so that LAPACK can
+    reduce it in place.  Each step overwrites its diagonal and upper triangle
+    with the same values `sample_batch(kind, n, profile, stream, count)[b]`
+    holds there, from the same draws; the strictly lower triangle is left
+    zero, so `out` is only valid for routines that read the upper triangle
+    (zhetrd with uplo='U').  No (count, n, n) complex stack is built.
+    """
+    sd_diag, sd_off = _scales(kind, n, profile)
+    scale = np.triu(sd_off, 1)
+    idx = np.arange(n)
+    scale[idx, idx] = sd_diag
+    g = stream.generator()
+    A = g.standard_normal((count, n, n))
+    B = g.standard_normal((count, n, n))
+    for a, b in zip(A, B):
+        np.multiply(a, scale, out=out.real)
+        np.multiply(b, scale, out=out.imag)
+        out.imag[idx, idx] = 0.0
+        yield out

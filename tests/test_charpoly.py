@@ -103,6 +103,41 @@ class TestTridiagonalize:
         T = cp.tridiagonalize(H)
         assert np.abs(bisection_eigenvalues(T) - np.linalg.eigvalsh(H)).max() <= 1e-10
 
+    @pytest.mark.parametrize("n", [9, 31, 32, 64, 100])
+    def test_upper_buffer_reduced_in_place(self, n):
+        # n on both sides of LAPACK's blocked-zhetrd crossover
+        H = random_hermitian(n, 200 + n)
+        full = cp.tridiagonalize(H)
+        Hf = np.asfortranarray(H)
+        assert cp.tridiagonalize(Hf).d.tobytes() == full.d.tobytes()
+        assert np.array_equal(Hf, H)  # not overwritten by default
+        buf = np.asfortranarray(np.triu(H))
+        T = cp.tridiagonalize(buf, overwrite_a=True)
+        assert T.d.tobytes() == full.d.tobytes()
+        assert T.e.tobytes() == full.e.tobytes()
+        assert not np.array_equal(np.triu(buf), np.triu(H))  # reduced in place, no copy
+        err = np.abs(bisection_eigenvalues(T) - np.linalg.eigvalsh(H)).max()
+        assert err <= 1e-12 * np.linalg.norm(H, 2)
+
+    @pytest.mark.parametrize("n", [64, 100])
+    def test_serial_blas_reduction(self, n):
+        # below _SERIAL_BLAS_N the calling thread reduces alone; at these orders
+        # that gives the same bits as the threaded reduction, and the thread's
+        # BLAS setting is put back afterwards
+        set_local = cp._blas_threads_local()
+        if set_local is None:
+            pytest.skip("BLAS without a per-thread thread count")
+        H = np.asfortranarray(random_hermitian(n, 300 + n))
+        before = set_local(0)
+        set_local(before)
+        T = cp.tridiagonalize(H)
+        _, d, e, _, info = scipy.linalg.lapack.zhetrd(H, lwork=cp._zhetrd_lwork(n))
+        assert info == 0
+        assert T.d.tobytes() == d.tobytes()
+        assert T.e.tobytes() == np.abs(e).tobytes()
+        after = set_local(before)
+        assert after == before
+
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_batch_matches_lapack_path(self, n):
         rng = np.random.default_rng(100 + n)

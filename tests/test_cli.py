@@ -2,6 +2,8 @@
 
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -192,6 +194,44 @@ class TestVerifyCommand:
         with pytest.raises(SystemExit) as exc:
             run_cli(["verify", "nonsense"])
         assert exc.value.code == 2
+
+
+def test_progress_step_is_thread_safe():
+    # more threads than cores and a short switch interval; a lost update breaks the total
+    progress = cli._Progress("stress", 0, quiet=True)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=lambda: [progress.step() for _ in range(20_000)])
+                   for _ in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+        assert not any(w.is_alive() for w in workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert progress.done == 8 * 20_000
+
+
+def test_spectrum_failure_cancels_queued_samples(tmp_path, monkeypatch):
+    from bandmoment import charpoly
+
+    reduce, started = charpoly.tridiagonalize, []
+
+    def fake(H, overwrite_a=False):
+        started.append(1)
+        if len(started) == 2:
+            raise RuntimeError("sample failed")
+        time.sleep(0.05)
+        return reduce(H, overwrite_a)
+
+    monkeypatch.setattr(charpoly, "tridiagonalize", fake)
+    cfg = write_cfg(tmp_path / "c.cfg", "ensemble = gue\nn_dim = 5\nsamples = 64\nseed = 3\n")
+    with pytest.raises(RuntimeError, match="sample failed"):
+        run_cli(["spectrum", "--config", cfg, "--out", str(tmp_path / "s.csv"),
+                 "--threads", "2", "--quiet"])
+    assert len(started) < 64
 
 
 def test_interrupt_flushes_incomplete_trailer(tmp_path, monkeypatch):

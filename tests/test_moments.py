@@ -1,6 +1,7 @@
 """Moment estimators: exact pairing oracle, Monte Carlo agreement, ratio machinery."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -84,6 +85,21 @@ class TestMcF2:
         for key in a:
             assert a[key].value == b[key].value
             assert a[key].stderr == b[key].stderr
+
+    def test_failed_block_cancels_queued_blocks(self, monkeypatch):
+        started = []
+
+        def fake_chunk(kind, n, profile, lambdas, seed, start, count, signs, logs):
+            started.append(start)
+            if start == mo._CHUNK:
+                raise RuntimeError("block 1 failed")
+            time.sleep(0.05)
+
+        monkeypatch.setattr(mo, "_eval_chunk", fake_chunk)
+        with pytest.raises(RuntimeError, match="block 1 failed"):
+            mo.det_log_samples("band", 16, 4.0, [0.0], 8 * mo._CHUNK, 1, threads=2)
+        assert mo._CHUNK in started
+        assert len(started) < 8
 
 
 class TestD2:

@@ -79,6 +79,41 @@ class TestSampleGue:
         assert np.allclose(prof.J.sum(axis=1), 1.0)
 
 
+class TestUpperSamples:
+    @staticmethod
+    def upper(X):
+        n = X.shape[-1]
+        return X[np.triu_indices(n)].tobytes()
+
+    @pytest.mark.parametrize("kind,n", [("band", 9), ("band", 16), ("gue", 12)])
+    def test_bitwise_equal_to_sample_batch(self, kind, n):
+        prof = covariance_profile(Lattice1D(n), 3.0) if kind == "band" else None
+        H = sm.sample_batch(kind, n, prof, sm.RngStream(61, 4096), 5)
+        buf = np.empty((n, n), dtype=complex, order="F")
+        seen = 0
+        for b, a in enumerate(sm.upper_samples(kind, n, prof, sm.RngStream(61, 4096), 5, buf)):
+            assert a is buf
+            assert self.upper(a) == self.upper(H[b])
+            assert not np.tril(a, -1).any()
+            seen += 1
+        assert seen == 5
+
+    def test_single_sample_equals_sample_rbm_and_gue(self):
+        n = 11
+        prof = covariance_profile(Lattice1D(n), 2.0)
+        buf = np.empty((n, n), dtype=complex, order="F")
+        s = sm.RngStream(42, 7)
+        a = next(sm.upper_samples("band", n, prof, s, 1, buf))
+        assert self.upper(a) == self.upper(sm.sample_rbm(prof, s))
+        a = next(sm.upper_samples("gue", n, None, s, 1, buf))
+        assert self.upper(a) == self.upper(sm.sample_gue(n, s))
+
+    def test_unknown_kind(self):
+        buf = np.empty((3, 3), dtype=complex, order="F")
+        with pytest.raises(ValueError):
+            next(sm.upper_samples("goe", 3, None, sm.RngStream(1), 1, buf))
+
+
 @pytest.mark.slow
 def test_band_spectrum_matches_semicircle():
     # pooled counting measure vs semicircle CDF: Kolmogorov distance <= 0.02
