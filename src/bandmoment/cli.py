@@ -20,12 +20,11 @@ import os
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import charpoly, moments, sampler, verify
+from . import charpoly, moments, verify
 from .lattice import Lattice1D, covariance_profile
 from .saddle import semicircle_cdf
 
@@ -197,7 +196,7 @@ class _Progress:
         self.quiet = quiet
         self.done = 0
         self.last = time.monotonic()
-        self._lock = threading.Lock()  # `spectrum` steps from its worker threads
+        self._lock = threading.Lock()  # callers may step from any thread
 
     def step(self, amount: int = 1):
         with self._lock:
@@ -251,28 +250,16 @@ def _spectrum_counts(cfg: ExperimentConfig, edges: np.ndarray, progress: _Progre
                if cfg.ensemble == "band" else None)
 
     def one(i: int) -> np.ndarray:
-        buf = np.empty((cfg.n_dim, cfg.n_dim), dtype=complex, order="F")
-        H = next(sampler.upper_samples(cfg.ensemble, cfg.n_dim, profile,
-                                       sampler.RngStream(cfg.seed, i), 1, buf))
-        T = charpoly.tridiagonalize(H, overwrite_a=True)
-        counts = charpoly.count_below_many(T.d[None, :], T.e[None, :] ** 2, edges)[0]
-        progress.step()
-        return counts
+        d, e = moments.tridiagonal_block(cfg.ensemble, cfg.n_dim, profile, cfg.seed, i, 1)
+        return charpoly.count_below_many(d, e ** 2, edges)[0]
 
-    # integer sums do not depend on the order the rows arrive in
     pooled = np.zeros(len(edges), dtype=np.int64)
-    if cfg.threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.threads) as ex:
-            try:
-                for counts in ex.map(one, range(cfg.samples)):
-                    pooled += counts
-            except BaseException:
-                # a failed sample or Ctrl-C: drop the queued samples instead of running them
-                ex.shutdown(cancel_futures=True)
-                raise
-    else:
-        for i in range(cfg.samples):
-            pooled += one(i)
+
+    def add(_, counts: np.ndarray):
+        np.add(pooled, counts, out=pooled)
+        progress.step()
+
+    moments._run_ordered(one, range(cfg.samples), cfg.threads, add)
     return pooled
 
 

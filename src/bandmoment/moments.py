@@ -26,7 +26,7 @@ import numpy as np
 
 from . import charpoly, sampler
 from .lattice import CovarianceProfile, Lattice1D, covariance_profile
-from .saddle import SpectralParams, sine_kernel
+from .saddle import SpectralParams, scaled_lambdas, sine_kernel
 
 _CHUNK = 4096          # samples per accumulation block (single max-shift each)
 _JACKKNIFE_BLOCKS = 50
@@ -173,21 +173,52 @@ class DetLogSamples:
     rejected: int
 
 
+def tridiagonal_block(kind: str, n: int, profile, seed: int, start: int,
+                      count: int) -> tuple[np.ndarray, np.ndarray]:
+    """d (count, n) and e (count, n - 1) >= 0 of the samples keyed by RngStream(seed, start).
+
+    Up to n = _SMALL_N_BATCH the block is sampled as one stack and reduced by the
+    vectorized Householder; above, each sample is reduced in place by zhetrd.
+    """
+    stream = sampler.RngStream(seed, start)
+    if n <= _SMALL_N_BATCH:
+        return charpoly.tridiagonalize_batch(
+            sampler.sample_batch(kind, n, profile, stream, count))
+    d = np.empty((count, n))
+    e = np.empty((count, n - 1))
+    buf = np.empty((n, n), dtype=complex, order="F")
+    for b, H in enumerate(sampler.upper_samples(kind, n, profile, stream, count, buf)):
+        t = charpoly.tridiagonalize(H, overwrite_a=True)
+        d[b] = t.d
+        e[b] = t.e
+    return d, e
+
+
+def _run_ordered(fn, items, threads: int, consume) -> None:
+    """Call consume(item, fn(item)) for every item, in item order, on the calling thread.
+
+    With threads > 1 the fn calls run on that many worker threads.  An
+    exception or Ctrl-C, from a worker or from `consume`, cancels the calls
+    still queued and is re-raised once the running ones return.
+    """
+    if threads <= 1:
+        for item in items:
+            consume(item, fn(item))
+        return
+    with ThreadPoolExecutor(max_workers=threads) as ex:
+        futures = [(item, ex.submit(fn, item)) for item in items]
+        try:
+            for item, f in futures:
+                consume(item, f.result())
+        except BaseException:
+            ex.shutdown(cancel_futures=True)
+            raise
+
+
 def _eval_chunk(kind: str, n: int, profile, lambdas, seed, start, count,
                 signs_out, logs_out):
     """Fill one fixed block of the output arrays; pure function of its arguments."""
-    stream = sampler.RngStream(seed, start)
-    if n <= _SMALL_N_BATCH:
-        d, e = charpoly.tridiagonalize_batch(
-            sampler.sample_batch(kind, n, profile, stream, count))
-    else:
-        d = np.empty((count, n))
-        e = np.empty((count, n - 1))
-        buf = np.empty((n, n), dtype=complex, order="F")
-        for b, H in enumerate(sampler.upper_samples(kind, n, profile, stream, count, buf)):
-            t = charpoly.tridiagonalize(H, overwrite_a=True)
-            d[b] = t.d
-            e[b] = t.e
+    d, e = tridiagonal_block(kind, n, profile, seed, start, count)
     s, lg = charpoly.char_det_many(d, e ** 2, lambdas)
     signs_out[start:start + count] = s
     logs_out[start:start + count] = lg
@@ -220,32 +251,16 @@ def det_log_samples(ensemble: str, n: int, W: float | None, lambdas,
 
     signs = np.empty((samples, len(lambdas)))
     logs = np.empty((samples, len(lambdas)))
-    starts = list(range(0, samples, _CHUNK))
-    jobs = [(start, min(_CHUNK, samples - start)) for start in starts]
-    done = 0
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            futures = [
-                ex.submit(_eval_chunk, ensemble, n, profile, lambdas, seed,
-                          start, count, signs, logs)
-                for start, count in jobs
-            ]
-            try:
-                for f, (_, count) in zip(futures, jobs):
-                    f.result()
-                    done += count
-                    if progress is not None:
-                        progress(done, samples)
-            except BaseException:
-                # a failed block or Ctrl-C: drop the queued blocks instead of running them
-                ex.shutdown(cancel_futures=True)
-                raise
-    else:
-        for start, count in jobs:
-            _eval_chunk(ensemble, n, profile, lambdas, seed, start, count, signs, logs)
-            done += count
-            if progress is not None:
-                progress(done, samples)
+    jobs = [(start, min(_CHUNK, samples - start)) for start in range(0, samples, _CHUNK)]
+
+    def chunk(job):
+        _eval_chunk(ensemble, n, profile, lambdas, seed, job[0], job[1], signs, logs)
+
+    def report(job, _):
+        if progress is not None:
+            progress(job[0] + job[1], samples)  # blocks are reported in start order
+
+    _run_ordered(chunk, jobs, threads, report)
 
     # a row is usable if every entry is either finite or an exact-zero marker (-inf)
     ok = ~np.any(np.isnan(logs), axis=1) & ~np.any(np.isposinf(logs), axis=1)
@@ -411,6 +426,30 @@ def _jackknife_ratio(dets: DetLogSamples, a: int, b: int) -> tuple[float, float]
     return float(ratio), se
 
 
+def _ratios(ensemble: str, n: int, W: float | None, plist, samples: int, seed: int,
+            threads: int, progress) -> list[RatioResult]:
+    """Ratio-vs-sine results for the scaled pairs `plist`, all from one sample set.
+
+    A ratio reads only its own two lambda columns."""
+    lam_index: dict[float, int] = {}
+    for p in plist:
+        for lam in (p.lambda1, p.lambda2):
+            lam_index.setdefault(lam, len(lam_index))
+    dets = det_log_samples(ensemble, n, W, list(lam_index), samples, seed, threads, progress)
+    results = []
+    for p in plist:
+        ia, ib = lam_index[p.lambda1], lam_index[p.lambda2]
+        sine_ref = sine_kernel(p.xi1 - p.xi2)
+        if ia == ib:
+            # numerator and denominator are the same per-sample values
+            ratio, se = 1.0, 0.0
+        else:
+            ratio, se = _jackknife_ratio(dets, ia, ib)
+        results.append(RatioResult(p, ratio, se, sine_ref, ratio - sine_ref,
+                                   dets.signs.shape[0], dets.rejected))
+    return results
+
+
 def ratio_vs_sine(params: SpectralParams, ensemble: str, W: float | None,
                   samples: int, seed: int, threads: int = 1) -> RatioResult:
     """Normalized moment F2/D2 at the bulk-scaled pair, with sine-kernel reference.
@@ -418,23 +457,7 @@ def ratio_vs_sine(params: SpectralParams, ensemble: str, W: float | None,
     The numerator and both normalization factors are estimated from the same
     sample set, so their correlated fluctuations largely cancel in the ratio.
     """
-    dets = det_log_samples(ensemble, params.n_dim, W,
-                           [params.lambda1, params.lambda2], samples, seed, threads)
-    sine_ref = sine_kernel(params.xi1 - params.xi2)
-    if params.lambda1 == params.lambda2:
-        # numerator and denominator are the same per-sample values
-        ratio, se = 1.0, 0.0
-    else:
-        ratio, se = _jackknife_ratio(dets, 0, 1)
-    return RatioResult(
-        params=params,
-        ratio=ratio,
-        stderr=se,
-        sine_ref=sine_ref,
-        deviation=ratio - sine_ref,
-        samples=dets.signs.shape[0],
-        rejected=dets.rejected,
-    )
+    return _ratios(ensemble, params.n_dim, W, [params], samples, seed, threads, None)[0]
 
 
 def moment_scan(ensemble: str, n: int, W: float | None, lambda0: float,
@@ -445,23 +468,5 @@ def moment_scan(ensemble: str, n: int, W: float | None, lambda0: float,
     The union of scaled lambdas over the grid is evaluated per sample, so the
     dominant tridiagonalization cost is amortized across the whole scan.
     """
-    from .saddle import scaled_lambdas
-
     plist = [scaled_lambdas(lambda0, x1, x2, n) for (x1, x2) in xi_pairs]
-    lam_index: dict[float, int] = {}
-    for p in plist:
-        for lam in (p.lambda1, p.lambda2):
-            lam_index.setdefault(lam, len(lam_index))
-    lambdas = np.array(sorted(lam_index, key=lam_index.get))
-    dets = det_log_samples(ensemble, n, W, lambdas, samples, seed, threads, progress)
-    results = []
-    for p in plist:
-        ia, ib = lam_index[p.lambda1], lam_index[p.lambda2]
-        sine_ref = sine_kernel(p.xi1 - p.xi2)
-        if ia == ib:
-            ratio, se = 1.0, 0.0
-        else:
-            ratio, se = _jackknife_ratio(dets, ia, ib)
-        results.append(RatioResult(p, ratio, se, sine_ref, ratio - sine_ref,
-                                   dets.signs.shape[0], dets.rejected))
-    return results
+    return _ratios(ensemble, n, W, plist, samples, seed, threads, progress)

@@ -44,30 +44,18 @@ class RngStream:
         return np.random.Generator(bg)
 
 
-def _hermitian_from_normals(A: np.ndarray, B: np.ndarray,
-                            sd_diag: np.ndarray, sd_off: np.ndarray) -> np.ndarray:
-    """Assemble Hermitian matrices from two stacks of standard normals.
-
-    A supplies the diagonal and the real parts of the upper triangle, B the
-    imaginary parts; sd_diag (N,) and sd_off (N, N) scale entrywise so that
-    E|H_ij|^2 matches the requested variance profile.
-    """
-    n = A.shape[-1]
-    up = np.triu(A, 1) * sd_off + 1j * (np.triu(B, 1) * sd_off)
-    H = up + np.conj(np.swapaxes(up, -1, -2))
-    idx = np.arange(n)
-    H[..., idx, idx] = A[..., idx, idx] * sd_diag
-    return H
-
-
-def _band_scales(profile: CovarianceProfile) -> tuple[np.ndarray, np.ndarray]:
-    J = profile.J
-    return np.sqrt(np.diag(J)), np.sqrt(J / 2.0)
-
-
-def _gue_scales(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return (np.full(n, np.sqrt(1.0 / n)),
-            np.full((n, n), np.sqrt(1.0 / (2.0 * n))))
+def _upper_scale(kind: str, n: int, profile: CovarianceProfile | None) -> np.ndarray:
+    """(n, n) s.d. of each real diagonal entry on the diagonal, and of the real and the
+    imaginary part of each entry above it in the strict upper triangle; zero below."""
+    if kind == "gue":
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        profile = gue_profile(n)
+    elif kind != "band":
+        raise ValueError(f"unknown ensemble kind {kind!r}")
+    S = np.triu(np.sqrt(profile.J / 2.0), 1)
+    np.fill_diagonal(S, np.sqrt(np.diag(profile.J)))
+    return S
 
 
 def sample_rbm(profile: CovarianceProfile, stream: RngStream) -> np.ndarray:
@@ -77,12 +65,7 @@ def sample_rbm(profile: CovarianceProfile, stream: RngStream) -> np.ndarray:
     and imaginary parts of H_ij are independent Gaussians of variance J_ij/2,
     so E H_ij^2 = 0.
     """
-    n = profile.size
-    g = stream.generator()
-    A = g.standard_normal((n, n))
-    B = g.standard_normal((n, n))
-    sd_diag, sd_off = _band_scales(profile)
-    return _hermitian_from_normals(A, B, sd_diag, sd_off)
+    return sample_batch("band", profile.size, profile, stream, 1)[0]
 
 
 def sample_gue(n: int, stream: RngStream) -> np.ndarray:
@@ -92,13 +75,7 @@ def sample_gue(n: int, stream: RngStream) -> np.ndarray:
     real/imag variances 1/2n each), matching the band ensemble's row-sum-1
     normalization.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    g = stream.generator()
-    A = g.standard_normal((n, n))
-    B = g.standard_normal((n, n))
-    sd_diag, sd_off = _gue_scales(n)
-    return _hermitian_from_normals(A, B, sd_diag, sd_off)
+    return sample_batch("gue", n, None, stream, 1)[0]
 
 
 def gue_profile(n: int) -> CovarianceProfile:
@@ -110,27 +87,24 @@ def gue_profile(n: int) -> CovarianceProfile:
     return CovarianceProfile(np.full((n, n), 1.0 / n), float(n))
 
 
-def _scales(kind: str, n: int, profile: CovarianceProfile | None) -> tuple[np.ndarray, np.ndarray]:
-    if kind == "band":
-        return _band_scales(profile)
-    if kind == "gue":
-        return _gue_scales(n)
-    raise ValueError(f"unknown ensemble kind {kind!r}")
-
-
 def sample_batch(kind: str, n: int, profile: CovarianceProfile | None,
                  stream: RngStream, count: int) -> np.ndarray:
     """Stack of `count` Hermitian samples drawn from a single substream.
 
     All entries for the block come from `stream` in a fixed order, so the
     block is a pure function of (stream, count); callers that key the stream
-    by a fixed block start index get thread-count-independent results.
+    by a fixed block start index get thread-count-independent results.  The
+    first normal stack supplies the diagonal and the real parts above it,
+    the second the imaginary parts; the entries below the diagonal of both
+    stacks are drawn but unused.
     """
-    sd_diag, sd_off = _scales(kind, n, profile)
+    S = _upper_scale(kind, n, profile)
     g = stream.generator()
     A = g.standard_normal((count, n, n))
     B = g.standard_normal((count, n, n))
-    return _hermitian_from_normals(A, B, sd_diag, sd_off)
+    H = A * S + 1j * (B * np.triu(S, 1))
+    H += np.conj(np.swapaxes(np.triu(H, 1), -1, -2))
+    return H
 
 
 def upper_samples(kind: str, n: int, profile: CovarianceProfile | None,
@@ -144,15 +118,12 @@ def upper_samples(kind: str, n: int, profile: CovarianceProfile | None,
     zero, so `out` is only valid for routines that read the upper triangle
     (zhetrd with uplo='U').  No (count, n, n) complex stack is built.
     """
-    sd_diag, sd_off = _scales(kind, n, profile)
-    scale = np.triu(sd_off, 1)
-    idx = np.arange(n)
-    scale[idx, idx] = sd_diag
+    S = _upper_scale(kind, n, profile)
     g = stream.generator()
     A = g.standard_normal((count, n, n))
     B = g.standard_normal((count, n, n))
     for a, b in zip(A, B):
-        np.multiply(a, scale, out=out.real)
-        np.multiply(b, scale, out=out.imag)
-        out.imag[idx, idx] = 0.0
+        np.multiply(a, S, out=out.real)
+        np.multiply(b, S, out=out.imag)
+        np.fill_diagonal(out.imag, 0.0)
         yield out

@@ -14,15 +14,8 @@ import numpy as np
 import pytest
 
 from bandmoment import charpoly as cp
-from bandmoment import cli, dualrep, lattice, moments, sampler, unitary
-from bandmoment.saddle import (
-    saddle_data,
-    saddle_exponent,
-    saddle_exponent_excess,
-    scaled_lambdas,
-    semicircle_cdf,
-    sine_kernel,
-)
+from bandmoment import cli, dualrep, lattice, moments, sampler, unitary, verify
+from bandmoment.saddle import scaled_lambdas, semicircle_cdf, sine_kernel
 
 DELTA_GRID = (0.25, 0.5, 1.0, 1.5)
 
@@ -116,56 +109,14 @@ def test_criterion_3_sine_kernel_trend():
     report(3, ok_a and ok_b and ok_c, detail)
 
 
+def report_suite(num: int, checks: list[verify.CheckResult]):
+    failed = [c.line() for c in checks if not c.passed]
+    report(num, not failed, "; ".join(failed) if failed else f"all {len(checks)} checks pass")
+
+
 def test_criterion_4_lattice_toolkit():
     """Chain determinant recurrences, closed forms, Green entries, partition asymptotics."""
-    rng = np.random.default_rng(20240601)
-    xs = np.concatenate([rng.uniform(0.05, 3.0, 10),
-                         rng.uniform(0.05, 2.0, 10) + 1j * rng.uniform(-2.0, 2.0, 10)])
-
-    def dense_chain(m, x, pinned):
-        if m == 1 and not pinned:
-            return np.array([[complex(x)]])
-        M = (np.diag(np.full(m, 2.0 + x)) + np.diag(np.full(m - 1, -1.0 + 0j), 1)
-             + np.diag(np.full(m - 1, -1.0 + 0j), -1))
-        M[m - 1, m - 1] = 1.0 + x
-        if not pinned:
-            M[0, 0] = 1.0 + x
-        return M
-
-    err_rec = 0.0
-    for m in range(1, 13):
-        for x in xs:
-            dT = np.linalg.det(dense_chain(m, x, True))
-            dS = np.linalg.det(dense_chain(m, x, False))
-            err_rec = max(err_rec,
-                          abs(lattice.charpoly_pinned(m, x) - dT) / abs(dT),
-                          abs(lattice.charpoly_neumann(m, x) - dS) / abs(dS))
-
-    err_closed = 0.0
-    for x in (0.1, 1.0, 2.0 + 3.0j):
-        for m in range(1, 51):
-            r = lattice.charpoly_pinned(m, x)
-            s = lattice.charpoly_neumann(m, x)
-            err_closed = max(err_closed,
-                             abs(lattice.charpoly_pinned_closed(m, x) - r) / abs(r),
-                             abs(lattice.charpoly_neumann_closed(m, x) - s) / abs(s))
-
-    m, gam, W = 10, 1.0 + 0.5j, 3.0
-    dense = np.linalg.inv(dense_chain(m, 2 * gam / W**2, False))
-    err_green = max(abs(lattice.green_diag(m, gam, W, i + 1) - dense[i, i]) / abs(dense[i, i])
-                    for i in range(m))
-
-    W = 30.0
-    msites = int(10 * W)
-    lz = lattice.log_gaussian_partition(msites, 1.0, W)
-    asym = 0.5 * msites * math.log(2 * math.pi) - 0.5 * math.log(
-        math.sqrt(2.0) / W * math.sinh(msites * math.sqrt(2.0) / W))
-    ratio = math.exp((lz - asym).real)
-
-    ok = (err_rec <= 1e-10 and err_closed <= 1e-10 and err_green <= 1e-8
-          and abs(ratio - 1.0) <= 0.02)
-    report(4, ok, f"recurrence {err_rec:.1e} (<=1e-10), closed {err_closed:.1e} (<=1e-10), "
-                  f"green {err_green:.1e} (<=1e-8), sinh ratio {ratio:.4f} (2%)")
+    report_suite(4, verify.suite_lattice())
 
 
 def test_criterion_5_unitary_suite():
@@ -200,41 +151,7 @@ def test_criterion_5_unitary_suite():
 
 def test_criterion_6_saddle_suite():
     """Stationary-point identities and the exponent-excess grid inequalities."""
-    worst_min, worst_fd, worst_c = 0.0, 0.0, 0.0
-    for lam0 in (0.0, 0.5, 1.0, 1.5):
-        sd = saddle_data(lam0)
-        for a in (sd.a_plus, sd.a_minus):
-            worst_min = max(worst_min, abs(saddle_exponent_excess(a, lam0)))
-            h = 1e-5
-            fd = (saddle_exponent_excess(a + h, lam0)
-                  - saddle_exponent_excess(a - h, lam0)) / (2 * h)
-            worst_fd = max(worst_fd, abs(fd))
-        h = 1e-3
-        c_est = (saddle_exponent(sd.a_plus + h, lam0)
-                 - 2 * saddle_exponent(sd.a_plus, lam0)
-                 + saddle_exponent(sd.a_plus - h, lam0)) / (2 * h * h)
-        worst_c = max(worst_c, abs(c_est - sd.c_plus))
-
-    grids_ok = True
-    for lam0 in (0.0, 1.0):
-        sd = saddle_data(lam0)
-        alpha = 0.5 * (1.0 - lam0 * lam0 / 4.0)
-        delta = 0.03
-        g = np.linspace(-6.0, delta, 10_000)
-        grids_ok &= bool((saddle_exponent_excess(g, lam0)
-                          >= alpha * (g - sd.a_minus) ** 2).all())
-        g = np.linspace(-delta, 6.0, 10_000)
-        grids_ok &= bool((saddle_exponent_excess(g, lam0)
-                          >= alpha * (g - sd.a_plus) ** 2).all())
-        delta = 0.1
-        g = np.linspace(-4.0, 4.0, 10_000)
-        mask = ((np.abs(g - sd.a_plus) >= delta) & (np.abs(g - sd.a_minus) >= delta))
-        grids_ok &= bool((saddle_exponent_excess(g[mask], lam0)
-                          >= alpha * delta * delta).all())
-
-    ok = worst_min <= 1e-12 and worst_fd <= 1e-7 and worst_c <= 1e-4 and grids_ok
-    report(6, ok, f"excess@a {worst_min:.1e} (<=1e-12), fd {worst_fd:.1e} (<=1e-7), "
-                  f"c_+ {worst_c:.1e} (<=1e-4), grid inequalities {'hold' if grids_ok else 'FAIL'}")
+    report_suite(6, verify.suite_saddle())
 
 
 def test_criterion_7_spectrum(tmp_path):

@@ -227,11 +227,47 @@ def test_spectrum_failure_cancels_queued_samples(tmp_path, monkeypatch):
         return reduce(H, overwrite_a)
 
     monkeypatch.setattr(charpoly, "tridiagonalize", fake)
-    cfg = write_cfg(tmp_path / "c.cfg", "ensemble = gue\nn_dim = 5\nsamples = 64\nseed = 3\n")
+    cfg = write_cfg(tmp_path / "c.cfg", "ensemble = gue\nn_dim = 16\nsamples = 64\nseed = 3\n")
     with pytest.raises(RuntimeError, match="sample failed"):
         run_cli(["spectrum", "--config", cfg, "--out", str(tmp_path / "s.csv"),
                  "--threads", "2", "--quiet"])
     assert len(started) < 64
+
+
+@pytest.mark.parametrize("command", ["moment-scan", "spectrum"])
+def test_interrupt_in_progress_cancels_queued_work(tmp_path, monkeypatch, command):
+    # Ctrl-C raised on the calling thread, in the progress callback, with workers busy
+    from bandmoment import charpoly
+    from bandmoment import moments as mo
+
+    started = []
+    if command == "moment-scan":
+        def fake_chunk(kind, n, profile, lambdas, seed, start, count, signs, logs):
+            started.append(start)
+            time.sleep(0.05)
+
+        monkeypatch.setattr(mo, "_eval_chunk", fake_chunk)
+        cfg = write_cfg(tmp_path / "c.cfg", BASE_SCAN.replace("samples = 2000",
+                                                              f"samples = {64 * mo._CHUNK}"))
+    else:
+        reduce = charpoly.tridiagonalize
+
+        def fake(H, overwrite_a=False):
+            started.append(1)
+            time.sleep(0.05)
+            return reduce(H, overwrite_a)
+
+        monkeypatch.setattr(charpoly, "tridiagonalize", fake)
+        cfg = write_cfg(tmp_path / "c.cfg", "ensemble = gue\nn_dim = 16\nsamples = 64\nseed = 3\n")
+
+    def interrupt(self, amount=1):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli._Progress, "step", interrupt)
+    code = run_cli([command, "--config", cfg, "--out", str(tmp_path / "out.csv"),
+                    "--threads", "2", "--quiet"])
+    assert code == 130
+    assert 1 <= len(started) < 64
 
 
 def test_interrupt_flushes_incomplete_trailer(tmp_path, monkeypatch):

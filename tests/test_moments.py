@@ -157,7 +157,15 @@ class TestRatioVsSine:
         assert r.sine_ref == sine_kernel(p.xi1 - p.xi2)
 
     def test_moment_scan_matches_single_pairs(self):
-        res = mo.moment_scan("band", 4, 2.0, 0.0, [(0.0, 0.0), (0.3, -0.3)], 5_000, 40)
-        assert res[0].ratio == 1.0 and res[0].deviation == 0.0
-        assert res[1].samples == 5_000
-        assert math.isfinite(res[1].stderr) and res[1].stderr > 0
+        pairs = [(0.0, 0.0), (0.3, -0.3), (0.1, -0.4), (0.3, -0.3)]
+        for ensemble, n, W in (("band", 4, 2.0), ("gue", 9, None)):
+            res = mo.moment_scan(ensemble, n, W, 0.0, pairs, 5_000, 40)
+            assert res[0].ratio == 1.0 and res[0].deviation == 0.0
+            assert res[1].samples == 5_000
+            assert math.isfinite(res[1].stderr) and res[1].stderr > 0
+            for (x1, x2), r in zip(pairs, res):
+                single = mo.ratio_vs_sine(scaled_lambdas(0.0, x1, x2, n), ensemble, W,
+                                          5_000, 40)
+                assert r.params == single.params
+                assert (r.ratio.hex(), r.stderr.hex(), r.samples, r.rejected) == (
+                    single.ratio.hex(), single.stderr.hex(), single.samples, single.rejected)

@@ -35,6 +35,13 @@ class TestSampleRbm:
         assert np.array_equal(H1, H2)
         assert np.array_equal(H1, H1.conj().T)
         assert np.abs(H1.diagonal().imag).max() == 0.0
+        for kind in ("band", "gue"):
+            for n in (3, 11):
+                p = covariance_profile(Lattice1D(n), 2.0) if kind == "band" else None
+                H = sm.sample_batch(kind, n, p, s, 7)
+                assert H.tobytes() == sm.sample_batch(kind, n, p, s, 7).tobytes()
+                assert np.array_equal(H, np.conj(np.swapaxes(H, -1, -2)))
+                assert not np.diagonal(H, axis1=-2, axis2=-1).imag.any()
 
     def test_single_site_variance(self):
         prof = covariance_profile(Lattice1D(1), 1.0)
@@ -107,6 +114,8 @@ class TestUpperSamples:
         assert self.upper(a) == self.upper(sm.sample_rbm(prof, s))
         a = next(sm.upper_samples("gue", n, None, s, 1, buf))
         assert self.upper(a) == self.upper(sm.sample_gue(n, s))
+        assert sm.sample_rbm(prof, s).tobytes() == sm.sample_batch("band", n, prof, s, 1)[0].tobytes()
+        assert sm.sample_gue(n, s).tobytes() == sm.sample_batch("gue", n, None, s, 1)[0].tobytes()
 
     def test_unknown_kind(self):
         buf = np.empty((3, 3), dtype=complex, order="F")
