@@ -3,7 +3,7 @@ of 1D Gaussian band matrices: ensemble sampling, overflow-safe determinant
 evaluation, moment estimation with sine-kernel comparison, the dual Hermitian-
 field representation, and the supporting closed-form toolkits."""
 
-from .charpoly import SignedLog, char_det, count_below, tridiagonalize
+from .charpoly import tridiagonalize
 from .dualrep import AccuracyError, DualMcEstimate, QuadratureGrid, dual_f2_n1, dual_f2_n2_mc
 from .lattice import (
     CovarianceProfile,
@@ -22,7 +22,6 @@ from .moments import (
     EstimatorError,
     MomentEstimate,
     RatioResult,
-    d2,
     mc_f2,
     moment_scan,
     ratio_vs_sine,
@@ -55,17 +54,13 @@ __all__ = [
     "RatioResult",
     "RngStream",
     "SaddleData",
-    "SignedLog",
     "SpectralParams",
     "TridiagonalSymmetric",
-    "char_det",
     "charpoly_neumann",
     "charpoly_neumann_closed",
     "charpoly_pinned",
     "charpoly_pinned_closed",
-    "count_below",
     "covariance_profile",
-    "d2",
     "dual_f2_n1",
     "dual_f2_n2_mc",
     "green_diag",

@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.lapack import zhetrd, zhetrd_lwork
@@ -30,53 +28,6 @@ _PIVOT_SUB = -1e-300
 # 300 us serial against 280-510 us with 2 BLAS threads, at twice the CPU) and
 # makes the time per reduction swing with the load on the other core
 _SERIAL_BLAS_N = 400
-
-
-@dataclass(frozen=True)
-class SignedLog:
-    """Value sign * exp(log_mag) with sign in {-1, 0, +1}.
-
-    ``log_mag`` is ignored when sign is 0 (kept at -inf by convention).
-    """
-
-    sign: int
-    log_mag: float
-
-    @classmethod
-    def from_value(cls, v: float) -> "SignedLog":
-        if v == 0:
-            return cls(0, -math.inf)
-        return cls(1 if v > 0 else -1, math.log(abs(v)))
-
-    @classmethod
-    def zero(cls) -> "SignedLog":
-        return cls(0, -math.inf)
-
-    def value(self) -> float:
-        """Collapse to a float; overflows to +-inf, underflows to 0."""
-        if self.sign == 0:
-            return 0.0
-        if self.log_mag > 709.0:
-            return math.inf * self.sign
-        return self.sign * math.exp(self.log_mag)
-
-    def __mul__(self, other: "SignedLog") -> "SignedLog":
-        s = self.sign * other.sign
-        if s == 0:
-            return SignedLog.zero()
-        return SignedLog(s, self.log_mag + other.log_mag)
-
-    def add(self, other: "SignedLog") -> "SignedLog":
-        """Max-shifted addition: exact up to one rounding of the shifted sum."""
-        if self.sign == 0:
-            return other
-        if other.sign == 0:
-            return self
-        m = max(self.log_mag, other.log_mag)
-        s = self.sign * math.exp(self.log_mag - m) + other.sign * math.exp(other.log_mag - m)
-        if s == 0:
-            return SignedLog.zero()
-        return SignedLog(1 if s > 0 else -1, m + math.log(abs(s)))
 
 
 @functools.lru_cache(maxsize=64)
@@ -234,12 +185,6 @@ def char_det_many(d: np.ndarray, e2: np.ndarray, lams: np.ndarray) -> tuple[np.n
     return sign, log_mag
 
 
-def char_det(T: TridiagonalSymmetric, lam: float) -> SignedLog:
-    """det(lambda - T) in signed-log form."""
-    sign, log_mag = char_det_many(T.d[None, :], T.e[None, :] ** 2, np.array([lam]))
-    return SignedLog(int(sign[0, 0]), float(log_mag[0, 0]))
-
-
 def count_below_many(d: np.ndarray, e2: np.ndarray, lams: np.ndarray) -> np.ndarray:
     """Number of eigenvalues strictly below each lambda, for a stack of tridiagonals.
 
@@ -262,8 +207,3 @@ def count_below_many(d: np.ndarray, e2: np.ndarray, lams: np.ndarray) -> np.ndar
             q = (lam - d[:, k, None]) - e2[:, k - 1, None] / q
             count += q > 0
     return count
-
-
-def count_below(T: TridiagonalSymmetric, lam: float) -> int:
-    """Number of eigenvalues of T strictly less than lambda."""
-    return int(count_below_many(T.d[None, :], T.e[None, :] ** 2, np.array([lam]))[0, 0])

@@ -5,10 +5,11 @@ For an ensemble sample H the quantity of interest is
     F2(l1, l2) = E[ det(l1 - H) det(l2 - H) ],
 
 normalized by the geometric mean D2 = sqrt(F2(l1,l1)) sqrt(F2(l2,l2)) and
-compared against the sine-kernel curve in the bulk scaling limit.  Every
-estimator here shares one sample set between the numerator and both
-denominator factors, accumulates determinants in signed-log form with
-max-shifted block sums (block size 4096), and propagates errors by
+compared against the sine-kernel curve in the bulk scaling limit.  Per-sample
+determinants are kept in signed-log form.  `mc_f2` estimates single moments
+by max-shifted sums over 4096-sample blocks, which stay valid beyond double
+range; `moment_scan` and `ratio_vs_sine` estimate the normalized moment with
+numerator and both denominator factors from one sample set, with errors by
 leave-one-block-out jackknife over 50 fixed blocks.
 
 An exact Isserlis-pairing expansion (dimension <= 3) provides the independent
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +31,7 @@ from .saddle import SpectralParams, scaled_lambdas, sine_kernel
 
 _CHUNK = 4096          # samples per accumulation block (single max-shift each)
 _JACKKNIFE_BLOCKS = 50
-_SMALL_N_BATCH = 8     # below this the vectorized Householder path is used
+_SMALL_N_BATCH = 8     # up to and including this n the vectorized Householder path is used
 _WICK_MAX_N = 3
 
 
@@ -42,22 +43,18 @@ class EstimatorError(RuntimeError):
 class MomentEstimate:
     """Monte Carlo estimate of a single moment.
 
-    `value`/`stderr` are plain floats (inf/0.0 when outside double range; see
-    `in_log_domain` and the log fields, which are always valid).  Block sums
-    are retained so derived quantities can jackknife over the shared samples.
+    `value`/`stderr` are plain floats, inf (or 0.0) once outside double range;
+    `sign`, `log_abs_value` and `log_abs_stderr` carry the same estimate in
+    log form and are always valid.
     """
 
     value: float
     stderr: float
     samples: int
-    in_log_domain: bool
     sign: int
     log_abs_value: float
     log_abs_stderr: float
     rejected: int = 0
-    shift: float = field(default=0.0, repr=False)
-    block_sums: np.ndarray | None = field(default=None, repr=False)
-    block_counts: np.ndarray | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -289,51 +286,50 @@ def _reduce_signed_log(s: np.ndarray, logp: np.ndarray, rejected: int) -> Moment
     """Mean and standard error of s*exp(logp) without leaving the log domain.
 
     Chunked accumulation: one max-shift per 4096-sample block, blocks combined
-    by signed-log addition in index order.  Block partial sums at the global
-    shift are kept for downstream jackknifing.
+    by max-shifted signed-log addition in index order.
     """
     n = len(s)
-    # global shift for the variance pass and the retained block sums
+    # global shift for the variance pass
     M = float(np.max(logp))
     if M == -math.inf:
-        edges = _block_edges(n, _JACKKNIFE_BLOCKS)
-        return MomentEstimate(0.0, 0.0, n, True, 0, -math.inf, -math.inf, rejected,
-                              0.0, np.zeros(_JACKKNIFE_BLOCKS), edges[1:] - edges[:-1])
-    total = charpoly.SignedLog.zero()
+        return MomentEstimate(0.0, 0.0, n, 0, -math.inf, -math.inf, rejected)
+    sign, log_abs = 0, -math.inf   # running sum: sign * exp(log_abs)
     for start in range(0, n, _CHUNK):
         sl = slice(start, min(start + _CHUNK, n))
         mc = float(np.max(logp[sl]))
         if mc == -math.inf:
             continue
         part = float(np.sum(s[sl] * np.exp(logp[sl] - mc)))
-        if part != 0.0:
-            total = total.add(charpoly.SignedLog(1 if part > 0 else -1,
-                                                 mc + math.log(abs(part))))
-    mean = charpoly.SignedLog(total.sign, total.log_mag - math.log(n))
+        if part == 0.0:
+            continue
+        p_sign, p_log = (1 if part > 0 else -1), mc + math.log(abs(part))
+        if sign == 0:
+            sign, log_abs = p_sign, p_log
+            continue
+        m = max(log_abs, p_log)
+        total = sign * math.exp(log_abs - m) + p_sign * math.exp(p_log - m)
+        if total == 0.0:
+            sign, log_abs = 0, -math.inf
+        else:
+            sign, log_abs = (1 if total > 0 else -1), m + math.log(abs(total))
+    log_mean = log_abs - math.log(n)
 
     u = s * np.exp(logp - M)
-    edges = _block_edges(n, _JACKKNIFE_BLOCKS)
-    block_sums = np.add.reduceat(u, edges[:-1])
-    block_counts = edges[1:] - edges[:-1]
-    u_mean = mean.sign * math.exp(mean.log_mag - M) if mean.sign != 0 else 0.0
+    u_mean = sign * math.exp(log_mean - M)   # 0.0 when sign == 0 (log_mean is -inf)
     var = float(np.sum((u - u_mean) ** 2)) / (n - 1)
     se_shifted = math.sqrt(var / n)
     log_se = M + math.log(se_shifted) if se_shifted > 0 else -math.inf
 
-    value = mean.value()
+    value = sign * (math.inf if log_mean > 709.0 else math.exp(log_mean))
     stderr = math.exp(log_se) if log_se < 709.0 else math.inf
     return MomentEstimate(
         value=value,
         stderr=stderr,
         samples=n,
-        in_log_domain=True,
-        sign=mean.sign,
-        log_abs_value=mean.log_mag,
+        sign=sign,
+        log_abs_value=log_mean,
         log_abs_stderr=log_se,
         rejected=rejected,
-        shift=M,
-        block_sums=block_sums,
-        block_counts=block_counts,
     )
 
 
@@ -353,45 +349,6 @@ def mc_f2(ensemble: str, n: int, W: float | None, lambda_list,
             s, logp = _pair_products(dets, a, b)
             out[(a, b)] = _reduce_signed_log(s, logp, dets.rejected)
     return out
-
-
-def d2(est_11: MomentEstimate, est_22: MomentEstimate) -> MomentEstimate:
-    """Geometric-mean normalization sqrt(F2(l1,l1)) * sqrt(F2(l2,l2)).
-
-    Error propagated by leave-one-block-out jackknife over the shared sample
-    blocks; both inputs must come from the same mc_f2 call.
-    """
-    for est in (est_11, est_22):
-        if est.sign <= 0:
-            raise EstimatorError("nonpositive diagonal moment estimate; increase samples")
-    if est_11.samples != est_22.samples:
-        raise ValueError("diagonal estimates do not share a sample set")
-    log_val = 0.5 * (est_11.log_abs_value + est_22.log_abs_value)
-    n = est_11.samples
-    bs1, bs2 = est_11.block_sums, est_22.block_sums
-    counts = est_11.block_counts
-    t1, t2 = bs1.sum(), bs2.sum()
-    rest = n - counts
-    with np.errstate(invalid="ignore"):
-        vals = np.sqrt((t1 - bs1) / rest) * np.sqrt((t2 - bs2) / rest)
-    if not np.all(np.isfinite(vals)):
-        raise EstimatorError("jackknife block became nonpositive; increase samples")
-    pref = math.exp(0.5 * (est_11.shift + est_22.shift) - log_val) if log_val > -math.inf else 0.0
-    # vals are at shifted scale; normalize to ratio-to-mean then rescale
-    B = len(vals)
-    theta = vals * pref  # = D2_b / D2
-    se_rel = math.sqrt((B - 1) / B * float(np.sum((theta - theta.mean()) ** 2)))
-    value = math.exp(log_val) if log_val < 709.0 else math.inf
-    return MomentEstimate(
-        value=value,
-        stderr=value * se_rel if value < math.inf else math.inf,
-        samples=n,
-        in_log_domain=True,
-        sign=1,
-        log_abs_value=log_val,
-        log_abs_stderr=log_val + math.log(se_rel) if se_rel > 0 else -math.inf,
-        rejected=max(est_11.rejected, est_22.rejected),
-    )
 
 
 def _jackknife_ratio(dets: DetLogSamples, a: int, b: int) -> tuple[float, float]:

@@ -72,6 +72,7 @@ def _scan_max_deviation(results):
     return float(devs[idx]), float(results[idx].stderr)
 
 
+@pytest.mark.slow
 def test_criterion_3_sine_kernel_trend():
     """Normalized moment approaches the sine kernel; deviation shrinks with size."""
     pairs = [(d / 2, -d / 2) for d in DELTA_GRID]
@@ -154,6 +155,7 @@ def test_criterion_6_saddle_suite():
     report_suite(6, verify.suite_saddle())
 
 
+@pytest.mark.slow
 def test_criterion_7_spectrum(tmp_path):
     """Pooled counting measure vs semicircle: Kolmogorov distance at most 0.02."""
     cfg = tmp_path / "spectrum.cfg"

@@ -72,8 +72,9 @@ class TestCovarianceProfile:
         # positive definiteness via Sturm count on W^2 K + 1
         lap = lt.neumann_laplacian(lt.Lattice1D(201))
         shifted = lt.TridiagonalSymmetric(100.0 * lap.d + 1.0, 100.0 * lap.e)
-        assert cp.count_below(shifted, 0.0) == 0
-        assert cp.count_below(shifted, 1.0 - 1e-9) == 0  # spectrum starts at 1
+        counts = cp.count_below_many(shifted.d, shifted.e ** 2, [0.0, 1.0 - 1e-9])
+        assert counts[0, 0] == 0
+        assert counts[0, 1] == 0  # spectrum starts at 1
 
     def test_exponential_decay(self):
         # |J_0k| ~ exp(-C k / W): the log profile along a row is essentially linear

@@ -124,6 +124,7 @@ class TestUpperSamples:
 
 
 @pytest.mark.slow
+@pytest.mark.slow
 def test_band_spectrum_matches_semicircle():
     # pooled counting measure vs semicircle CDF: Kolmogorov distance <= 0.02
     n_dim, W, n_samp = 1000, 100.0, 20
