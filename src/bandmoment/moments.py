@@ -174,11 +174,12 @@ def tridiagonal_block(kind: str, n: int, profile, seed: int, start: int,
                       count: int) -> tuple[np.ndarray, np.ndarray]:
     """d (count, n) and e (count, n - 1) >= 0 of the samples keyed by RngStream(seed, start).
 
-    Up to n = _SMALL_N_BATCH the block is sampled as one stack and reduced by the
-    vectorized Householder; above, each sample is reduced in place by zhetrd.
+    A block of more than one sample up to n = _SMALL_N_BATCH is sampled as one
+    stack and reduced by the vectorized Householder, whose numpy overhead only
+    pays across a stack; otherwise each sample is reduced in place by zhetrd.
     """
     stream = sampler.RngStream(seed, start)
-    if n <= _SMALL_N_BATCH:
+    if n <= _SMALL_N_BATCH and count > 1:
         return charpoly.tridiagonalize_batch(
             sampler.sample_batch(kind, n, profile, stream, count))
     d = np.empty((count, n))

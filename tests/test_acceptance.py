@@ -1,10 +1,11 @@
 """Acceptance gate: every criterion at its stated tolerance, one line per criterion.
 
 Run with `pytest -s tests/test_acceptance.py` to see the PASS/FAIL lines as
-they complete.  The exact-identity criteria (1, 2, 4, 5, 6) pin closed forms
-and oracle agreements; the asymptotic criteria (3, 7) are finite-size trend
-checks with explicitly budgeted tolerances; criterion 8 pins bitwise
-reproducibility of the CLI across thread counts.
+they complete.  The exact-identity criteria (1, 2, 4, 5, 6) run the `verify`
+suites, where their closed forms and oracle agreements are written, at full
+strength; the asymptotic criteria (3, 7) are finite-size trend checks with
+explicitly budgeted tolerances; criterion 8 pins bitwise reproducibility of
+the CLI across thread counts.
 """
 
 import math
@@ -13,9 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from bandmoment import charpoly as cp
-from bandmoment import cli, dualrep, lattice, moments, sampler, unitary, verify
-from bandmoment.saddle import scaled_lambdas, semicircle_cdf, sine_kernel
+from bandmoment import cli, moments, verify
+from bandmoment.saddle import sine_kernel
 
 DELTA_GRID = (0.25, 0.5, 1.0, 1.5)
 
@@ -25,45 +25,23 @@ def report(num: int, ok: bool, detail: str):
     assert ok, f"criterion {num}: {detail}"
 
 
+def report_suite(num: int, checks: list[verify.CheckResult]):
+    report(num, all(c.passed for c in checks), "; ".join(c.line() for c in checks))
+
+
 def test_criterion_1_oracle_identity():
     """Exact pairing expansion vs Monte Carlo at n = 1, 2, 3 (band profile)."""
     t0 = time.perf_counter()
-    cases = [(1, 1.0, 0.3, -0.2), (2, 1.0, 0.5, -0.3), (3, 2.0, 0.4, -0.1)]
-    details = []
-    ok = True
-    for n, W, l1, l2 in cases:
-        prof = lattice.covariance_profile(lattice.Lattice1D(n), W)
-        exact = moments.wick_exact_f2(n, l1, l2, prof)
-        est = moments.mc_f2("band", n, W, [l1, l2], 1_000_000, 20_240_101 + n)[(0, 1)]
-        dev = abs(est.value - exact) / est.stderr
-        rel = est.stderr / abs(est.value)
-        ok = ok and dev <= 4.0 and rel <= 0.02 and est.rejected == 0
-        details.append(f"n={n}: {dev:.2f} se, stderr/|value|={rel:.4f}")
-    if cases[0][0] == 1:
-        # the single-site value is the closed form l1 l2 + 1 = 0.94
-        exact1 = moments.wick_exact_f2(
-            1, 0.3, -0.2, lattice.covariance_profile(lattice.Lattice1D(1), 1.0))
-        ok = ok and abs(exact1 - 0.94) < 1e-14
+    checks = verify.suite_oracle(samples=1_000_000,
+                                 seeds=tuple(20_240_101 + n for n in (1, 2, 3)))
     elapsed = time.perf_counter() - t0
-    ok = ok and elapsed < 60.0
-    report(1, ok, f"{'; '.join(details)}; runtime {elapsed:.1f}s (<60s)")
+    checks.append(verify.CheckResult("runtime", f"{elapsed:.1f}s", "<60s", elapsed < 60.0))
+    report_suite(1, checks)
 
 
 def test_criterion_2_dual_representation_identity():
     """Single-site dual field integral equals the exact moment to 1e-6 relative."""
-    grid = dualrep.QuadratureGrid.build(40)
-    prof = lattice.covariance_profile(lattice.Lattice1D(1), 1.0)
-    worst = 0.0
-    count = 0
-    for lambda0 in (0.0, 0.5, 1.0):
-        for xis in ((0.0, 0.0), (0.5, -0.5), (0.3, -0.2), (0.7, 0.1)):
-            val = dualrep.dual_f2_n1(lambda0, xis[0], xis[1], grid)
-            p = scaled_lambdas(lambda0, xis[0], xis[1], 1)
-            exact = moments.wick_exact_f2(1, p.lambda1, p.lambda2, prof)
-            worst = max(worst, abs(val.real - exact) / abs(exact))
-            count += 1
-    ok = worst <= 1e-6 and count == 12
-    report(2, ok, f"12 (lambda0, xi) points, worst rel err {worst:.2e} (<=1e-6)")
+    report_suite(2, verify.suite_dual())
 
 
 def _scan_max_deviation(results):
@@ -110,11 +88,6 @@ def test_criterion_3_sine_kernel_trend():
     report(3, ok_a and ok_b and ok_c, detail)
 
 
-def report_suite(num: int, checks: list[verify.CheckResult]):
-    failed = [c.line() for c in checks if not c.passed]
-    report(num, not failed, "; ".join(failed) if failed else f"all {len(checks)} checks pass")
-
-
 def test_criterion_4_lattice_toolkit():
     """Chain determinant recurrences, closed forms, Green entries, partition asymptotics."""
     report_suite(4, verify.suite_lattice())
@@ -122,32 +95,8 @@ def test_criterion_4_lattice_toolkit():
 
 def test_criterion_5_unitary_suite():
     """h_s(0) exact; character integral and |V_12|^2s moments vs Haar MC."""
-    err0 = max(abs(unitary.v12_moment(s, 0.0) - 1.0 / (s + 1)) for s in range(7))
-
-    V = unitary.haar_u2_batch(sampler.RngStream(55, 0), 1_000_000)
-    v12sq = np.abs(V[:, 0, 1]) ** 2
-    rng = np.random.default_rng(99)
-    worst = 0.0
-    ok = err0 <= 1e-12
-    for _ in range(10):
-        c1, c2, d1, d2 = rng.uniform(-1, 1, 4)
-        t = rng.uniform(0.2, 1.5)
-        s = int(rng.integers(0, 4))
-        tr = np.einsum("ij,bkj,kl,bli->b", np.diag([c1, c2]), V.conj(),
-                       np.diag([d1, d2]), V).real
-        hc = np.exp(t * tr)
-        se = hc.std(ddof=1) / math.sqrt(len(hc))
-        dev = abs(hc.mean() - unitary.hciz_2x2(c1, c2, d1, d2, t)) / se
-        worst = max(worst, dev)
-        ok = ok and dev <= 4
-
-        x = t * (c1 - c2) * (d1 - d2)
-        mom = v12sq**s * np.exp(t * (tr - (c1 * d1 + c2 * d2)))
-        se = mom.std(ddof=1) / math.sqrt(len(mom))
-        dev = abs(mom.mean() - unitary.v12_moment(s, x)) / se
-        worst = max(worst, dev)
-        ok = ok and dev <= 4
-    report(5, ok, f"h_s(0) err {err0:.1e} (<=1e-12); MC worst dev {worst:.2f} se (<=4)")
+    report_suite(5, verify.suite_unitary(mc_samples=1_000_000, haar_seed=55, point_seed=99,
+                                         points=10))
 
 
 def test_criterion_6_saddle_suite():

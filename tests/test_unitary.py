@@ -24,11 +24,6 @@ def h_by_quadrature(s, x):
 
 
 class TestHaarU2:
-    def test_unitarity(self):
-        U = un.haar_u2_batch(RngStream(11, 0), 10_000)
-        err = np.abs(np.einsum("bij,bkj->bik", U, U.conj()) - np.eye(2)).max()
-        assert err <= 1e-12
-
     def test_single_draw_deterministic(self):
         assert np.array_equal(un.haar_u2(RngStream(4, 9)), un.haar_u2(RngStream(4, 9)))
 
@@ -42,19 +37,8 @@ class TestHaarU2:
         ks = scipy.stats.kstest(m, "uniform")
         assert ks.pvalue > 0.01
 
-    def test_left_invariance(self):
-        A = np.array([[0.3 + 0.1j, -0.2j], [0.7, 0.4 - 0.5j]])
-        U = un.haar_u2_batch(RngStream(13, 1), 20_000)
-        left = np.array([[0.6 + 0.8j, 0.0], [0.0, -1.0j]]) @ np.array([[0, 1], [1, 0]])
-        t_plain = np.einsum("ij,bji->b", A, U).real
-        t_left = np.einsum("ij,bji->b", A, left[None] @ U).real
-        assert scipy.stats.ks_2samp(t_plain, t_left).pvalue > 0.05
-
 
 class TestCharacterIntegral:
-    def test_t_to_zero_limit(self):
-        assert un.hciz_2x2(0.3, -0.2, 0.5, 0.1, 1e-13) == pytest.approx(1.0, abs=1e-10)
-
     def test_scalar_c(self):
         c, d1, d2, t = 0.4, 0.5, 0.1, 0.7
         assert un.hciz_2x2(c, c, d1, d2, t) == pytest.approx(
@@ -91,27 +75,10 @@ class TestCharacterIntegral:
 
 
 class TestV12Moment:
-    def test_value_at_zero(self):
-        for s in range(7):
-            assert un.v12_moment(s, 0.0) == pytest.approx(1.0 / (s + 1), abs=1e-12)
-
     @pytest.mark.parametrize("s", [0, 1, 2, 5, 10, 30])
     @pytest.mark.parametrize("x", [-20.0, -8.0, -1.3, 0.7, 8.0, 25.0])
     def test_against_quadrature_oracle(self, s, x):
         assert un.v12_moment(s, x) == pytest.approx(h_by_quadrature(s, x), rel=1e-9)
-
-    def test_branch_crossover_consistency(self):
-        # series and differentiated closed form agree where they meet
-        for s in range(11):
-            for x in (8.0, -8.0):
-                assert _series(s, x) == pytest.approx(_closed(s, x), rel=1e-9)
-
-    def test_positive_and_decreasing(self):
-        grid = np.linspace(0.0, 50.0, 201)
-        for s in range(11):
-            vals = np.array([un.v12_moment(s, x) for x in grid])
-            assert (vals > 0).all()
-            assert (np.diff(vals) < 1e-15).all()
 
     def test_order_guard(self):
         with pytest.raises(ValueError):
@@ -136,21 +103,3 @@ class TestV12Moment:
         expect = math.exp(-t * (c1 * d1 + c2 * d2)) * un.hciz_2x2(c1, c2, d1, d2, t)
         assert un.v12_moment(0, x) == pytest.approx(expect, rel=1e-12)
 
-
-def _series(s, x):
-    term = 1.0 / (s + 1.0)
-    total = term
-    for k in range(1, 400):
-        term = term * (-x) / k * (k + s) / (k + s + 1.0)
-        total += term
-        if abs(term) <= 1e-18 * abs(total):
-            break
-    return total
-
-
-def _closed(s, x):
-    acc, fall = 0.0, 1.0
-    for j in range(s + 1):
-        acc += fall / x ** (j + 1)
-        fall *= s - j
-    return math.factorial(s) / x ** (s + 1) - math.exp(-x) * acc
