@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -195,19 +196,26 @@ def tridiagonal_block(kind: str, n: int, profile, seed: int, start: int,
 def _run_ordered(fn, items, threads: int, consume) -> None:
     """Call consume(item, fn(item)) for every item, in item order, on the calling thread.
 
-    With threads > 1 the fn calls run on that many worker threads.  An
-    exception or Ctrl-C, from a worker or from `consume`, cancels the calls
-    still queued and is re-raised once the running ones return.
+    With threads > 1 the fn calls run on that many worker threads, and at most
+    2 * threads items are submitted and not yet consumed, so results do not
+    pile up behind a slow `consume`.  An exception or Ctrl-C, from a worker or
+    from `consume`, cancels the calls still queued and is re-raised once the
+    running ones return.
     """
     if threads <= 1:
         for item in items:
             consume(item, fn(item))
         return
+    items = iter(items)
     with ThreadPoolExecutor(max_workers=threads) as ex:
-        futures = [(item, ex.submit(fn, item)) for item in items]
         try:
-            for item, f in futures:
+            window = deque((item, ex.submit(fn, item))
+                           for item in itertools.islice(items, 2 * threads))
+            while window:
+                item, f = window.popleft()
                 consume(item, f.result())
+                for item in itertools.islice(items, 1):
+                    window.append((item, ex.submit(fn, item)))
         except BaseException:
             ex.shutdown(cancel_futures=True)
             raise

@@ -8,6 +8,7 @@ Hermitian by construction; only the upper triangle is drawn.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ from .lattice import CovarianceProfile
 
 _MASK128 = (1 << 128) - 1
 _MASK64 = (1 << 64) - 1
+_DRAW_PIECE = 1 << 16  # normals per real-part draw in upper_samples: a 512 KiB buffer
 
 
 @dataclass(frozen=True)
@@ -44,18 +46,39 @@ class RngStream:
         return np.random.Generator(bg)
 
 
-def _upper_scale(kind: str, n: int, profile: CovarianceProfile | None) -> np.ndarray:
-    """(n, n) s.d. of each real diagonal entry on the diagonal, and of the real and the
-    imaginary part of each entry above it in the strict upper triangle; zero below."""
+@functools.lru_cache(maxsize=4)
+def _upper_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where the drawn entries of an (n, n) sample lie, the strict upper
+    triangle column by column and then the diagonal: the flat index of each in
+    a C-ordered (n, n) array, and that of its real part in the float64 view of
+    a Fortran-ordered complex one.
+
+    Cached, so every caller gets the same arrays and must not write to them.
+    They are left writeable because np.take copies a read-only index array on
+    every call.
+    """
+    j, i = np.nonzero(np.tri(n, k=-1, dtype=bool))  # column j, row i < j
+    d = np.arange(n) * (n + 1)
+    return np.concatenate([i * n + j, d]), 2 * np.concatenate([i + j * n, d])
+
+
+def _upper_entries(kind: str, n: int, profile: CovarianceProfile | None
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The `_upper_index` of the drawn entries and the s.d. of each: that of the
+    real diagonal entry on the diagonal, and that of the real and of the
+    imaginary part of each entry above it."""
     if kind == "gue":
         if n < 1:
             raise ValueError("n must be >= 1")
         profile = gue_profile(n)
     elif kind != "band":
         raise ValueError(f"unknown ensemble kind {kind!r}")
-    S = np.triu(np.sqrt(profile.J / 2.0), 1)
-    np.fill_diagonal(S, np.sqrt(np.diag(profile.J)))
-    return S
+    elif profile.J.shape != (n, n):
+        raise ValueError(f"profile of size {profile.size} does not match n = {n}")
+    c_index, f_index = _upper_index(n)
+    sd = np.take(profile.J, c_index)
+    sd[:-n] /= 2.0
+    return c_index, f_index, np.sqrt(sd, out=sd)
 
 
 def sample_rbm(profile: CovarianceProfile, stream: RngStream) -> np.ndarray:
@@ -98,7 +121,9 @@ def sample_batch(kind: str, n: int, profile: CovarianceProfile | None,
     the second the imaginary parts; the entries below the diagonal of both
     stacks are drawn but unused.
     """
-    S = _upper_scale(kind, n, profile)
+    index, _, sd = _upper_entries(kind, n, profile)
+    S = np.zeros((n, n))
+    S.flat[index] = sd
     g = stream.generator()
     A = g.standard_normal((count, n, n))
     B = g.standard_normal((count, n, n))
@@ -114,16 +139,43 @@ def upper_samples(kind: str, n: int, profile: CovarianceProfile | None,
     `out` is an (n, n) complex array, Fortran-ordered so that LAPACK can
     reduce it in place.  Each step overwrites its diagonal and upper triangle
     with the same values `sample_batch(kind, n, profile, stream, count)[b]`
-    holds there, from the same draws; the strictly lower triangle is left
-    zero, so `out` is only valid for routines that read the upper triangle
-    (zhetrd with uplo='U').  No (count, n, n) complex stack is built.
+    holds there, from the same draws.  The strictly lower triangle and the
+    imaginary part of the diagonal are zeroed once, before the first sample,
+    and not written again, so `out` is only valid for routines that read the
+    upper triangle (zhetrd with uplo='U').
+
+    `sample_batch` draws the block's (count, n, n) real-part normals and then
+    its imaginary-part ones from one stream, and the ziggurat consumes a
+    variable number of words per normal, so no sample's imaginary normals can
+    be reached before every real one is drawn.  The real normals are therefore
+    drawn first, in pieces of at most `_DRAW_PIECE` normals, and of each
+    sample only the n(n+1)/2 that land on or above the diagonal are kept,
+    already scaled: one packed (count, n(n+1)/2) float array, about a quarter
+    of the two stacks.  Each sample's imaginary normals are drawn into a
+    reused buffer just before the sample is yielded.
     """
-    S = _upper_scale(kind, n, profile)
+    src, dst, sd = _upper_entries(kind, n, profile)
+    strict = len(src) - n    # the imaginary parts: entries above the diagonal
+    flat = np.reshape(out, -1, order="F", copy=False).view(np.float64)
     g = stream.generator()
-    A = g.standard_normal((count, n, n))
-    B = g.standard_normal((count, n, n))
-    for a, b in zip(A, B):
-        np.multiply(a, S, out=out.real)
-        np.multiply(b, S, out=out.imag)
-        np.fill_diagonal(out.imag, 0.0)
+    piece = max(1, min(count, _DRAW_PIECE // (n * n)))
+    z = np.empty((piece, n * n))
+    real = np.empty((count, len(src)))
+    # indices are in range by construction; mode="clip" skips numpy's buffered check
+    for b in range(0, count, piece):
+        zb = z[:min(piece, count - b)]
+        g.standard_normal(out=zb)
+        rb = real[b:b + len(zb)]
+        np.take(zb, src, axis=1, out=rb, mode="clip")
+        rb *= sd
+    src, sd, dst_imag = src[:strict], sd[:strict], dst[:strict]
+    flat_imag = flat[1:]     # the imaginary part sits one place after the real part
+    out[...] = 0.0
+    for r in real:
+        flat[dst] = r
+        imag = r[:strict]    # the row is spent once written: it takes the imaginary parts
+        g.standard_normal(out=z[0])
+        np.take(z[0], src, out=imag, mode="clip")
+        imag *= sd
+        flat_imag[dst_imag] = imag
         yield out

@@ -1,5 +1,7 @@
 """Ensemble sampling: determinism, Hermiticity, entry covariances, spectra."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -45,8 +47,7 @@ class TestSampleRbm:
 
     def test_single_site_variance(self):
         prof = covariance_profile(Lattice1D(1), 1.0)
-        vals = np.array([sm.sample_rbm(prof, sm.RngStream(5, i))[0, 0].real
-                         for i in range(0, 100_000, 1)])
+        vals = sm.sample_batch("band", 1, prof, sm.RngStream(5, 0), 100_000)[:, 0, 0].real
         assert 0.97 <= vals.var() <= 1.03
 
     def test_entry_covariances(self):
@@ -69,8 +70,7 @@ class TestSampleRbm:
 
 class TestSampleGue:
     def test_single_site_variance(self):
-        vals = np.array([sm.sample_gue(1, sm.RngStream(3, i))[0, 0].real
-                         for i in range(50_000)])
+        vals = sm.sample_batch("gue", 1, None, sm.RngStream(3, 0), 50_000)[:, 0, 0].real
         assert abs(vals.var() - 1.0) <= 4 * np.sqrt(2.0 / 50_000)
 
     def test_trace_of_square(self):
@@ -95,15 +95,32 @@ class TestUpperSamples:
     @pytest.mark.parametrize("kind,n", [("band", 9), ("band", 16), ("gue", 12)])
     def test_bitwise_equal_to_sample_batch(self, kind, n):
         prof = covariance_profile(Lattice1D(n), 3.0) if kind == "band" else None
-        H = sm.sample_batch(kind, n, prof, sm.RngStream(61, 4096), 5)
+        piece = sm._DRAW_PIECE // (n * n)  # samples per real-part draw
+        for count in (5, 2 * piece + 3):
+            H = sm.sample_batch(kind, n, prof, sm.RngStream(61, 4096), count)
+            buf = np.full((n, n), np.nan, dtype=complex, order="F")
+            seen = 0
+            for b, a in enumerate(sm.upper_samples(kind, n, prof, sm.RngStream(61, 4096),
+                                                   count, buf)):
+                assert a is buf
+                assert self.upper(a) == self.upper(H[b])
+                assert not np.tril(a, -1).any()
+                seen += 1
+            assert seen == count
+
+    def test_block_memory_is_the_packed_real_half(self):
+        # a block keeps n(n+1)/2 scaled real normals per sample, no (count, n, n) stack
+        n, count = 64, 512
+        prof = covariance_profile(Lattice1D(n), 64.0)
         buf = np.empty((n, n), dtype=complex, order="F")
-        seen = 0
-        for b, a in enumerate(sm.upper_samples(kind, n, prof, sm.RngStream(61, 4096), 5, buf)):
-            assert a is buf
-            assert self.upper(a) == self.upper(H[b])
-            assert not np.tril(a, -1).any()
-            seen += 1
-        assert seen == 5
+        tracemalloc.start()
+        try:
+            for _ in sm.upper_samples("band", n, prof, sm.RngStream(7), count, buf):
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= count * n * (n + 1) // 2 * 8 + 4 * 2**20
 
     def test_single_sample_equals_sample_rbm_and_gue(self):
         n = 11
@@ -122,8 +139,15 @@ class TestUpperSamples:
         with pytest.raises(ValueError):
             next(sm.upper_samples("goe", 3, None, sm.RngStream(1), 1, buf))
 
+    def test_profile_size_must_match_n(self):
+        prof = covariance_profile(Lattice1D(6), 2.0)
+        buf = np.empty((5, 5), dtype=complex, order="F")
+        with pytest.raises(ValueError):
+            next(sm.upper_samples("band", 5, prof, sm.RngStream(1), 1, buf))
+        with pytest.raises(ValueError):
+            sm.sample_batch("band", 5, prof, sm.RngStream(1), 1)
 
-@pytest.mark.slow
+
 @pytest.mark.slow
 def test_band_spectrum_matches_semicircle():
     # pooled counting measure vs semicircle CDF: Kolmogorov distance <= 0.02
