@@ -245,21 +245,36 @@ def cmd_moment_scan(cfg: ExperimentConfig, quiet: bool) -> int:
 
 
 def _spectrum_counts(cfg: ExperimentConfig, edges: np.ndarray, progress: _Progress) -> np.ndarray:
-    """Pooled eigenvalue counts below each edge, summed over all samples."""
+    """Pooled eigenvalue counts below each edge, summed over all samples.
+
+    Each task reduces a run of consecutive samples and counts them as one
+    stack: one sample at n = 4 takes ~170 us, too little to pay for handing it
+    to a worker, and a Sturm count per sample is mostly interpreter overhead,
+    which two threads only contend for.  A run holds about 2^16 matrix entries
+    and at most 2^18 pivots per step of the count (2 MB), and there are at
+    least 4 runs per thread, so the threads share the work and an error or
+    Ctrl-C stops it early.  Every sample is still keyed by its own index and
+    counted on its own row, and the counts are integers, so the result does
+    not depend on the run length.
+    """
     profile = (covariance_profile(Lattice1D(cfg.n_dim), cfg.bandwidth)
                if cfg.ensemble == "band" else None)
+    run = max(1, min(2 ** 16 // cfg.n_dim ** 2, 2 ** 18 // len(edges),
+                     cfg.samples // (4 * cfg.threads)))
 
-    def one(i: int) -> np.ndarray:
-        d, e = moments.tridiagonal_block(cfg.ensemble, cfg.n_dim, profile, cfg.seed, i, 1)
-        return charpoly.count_below_many(d, e ** 2, edges)[0]
+    def count_run(start: int) -> np.ndarray:
+        d, e = zip(*(moments.tridiagonal_block(cfg.ensemble, cfg.n_dim, profile, cfg.seed, i, 1)
+                     for i in range(start, min(start + run, cfg.samples))))
+        return charpoly.count_below_many(np.concatenate(d), np.concatenate(e) ** 2,
+                                         edges).sum(axis=0)
 
     pooled = np.zeros(len(edges), dtype=np.int64)
 
-    def add(_, counts: np.ndarray):
+    def add(start: int, counts: np.ndarray):
         np.add(pooled, counts, out=pooled)
-        progress.step()
+        progress.step(min(run, cfg.samples - start))
 
-    moments._run_ordered(one, range(cfg.samples), cfg.threads, add)
+    moments._run_ordered(count_run, range(0, cfg.samples, run), cfg.threads, add)
     return pooled
 
 

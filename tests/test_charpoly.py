@@ -60,11 +60,13 @@ class TestTridiagonalize:
         T = cp.tridiagonalize(H)
         assert np.abs(bisection_eigenvalues(T) - np.linalg.eigvalsh(H)).max() <= 1e-10
 
-    @pytest.mark.parametrize("n", [9, 31, 32, 64, 100])
+    @pytest.mark.parametrize("n", [9, 31, 32, 64, 100, 400])
     def test_upper_buffer_reduced_in_place(self, n):
-        # n on both sides of LAPACK's blocked-zhetrd crossover
+        # n on both sides of LAPACK's blocked-zhetrd crossover, and the two-stage order
         H = random_hermitian(n, 200 + n)
-        full = cp.tridiagonalize(H)
+        kept = H.copy()
+        full = cp.tridiagonalize(H)  # C order: reduced in a copy
+        assert np.array_equal(H, kept)
         Hf = np.asfortranarray(H)
         assert cp.tridiagonalize(Hf).d.tobytes() == full.d.tobytes()
         assert np.array_equal(Hf, H)  # not overwritten by default
@@ -78,9 +80,9 @@ class TestTridiagonalize:
 
     @pytest.mark.parametrize("n", [64, 100])
     def test_serial_blas_reduction(self, n):
-        # below _SERIAL_BLAS_N the calling thread reduces alone; at these orders
-        # that gives the same bits as the threaded reduction, and the thread's
-        # BLAS setting is put back afterwards
+        # below _TWO_STAGE_N scipy's zhetrd reduces on the calling thread alone;
+        # at these orders that gives the same bits as the threaded reduction,
+        # and the thread's BLAS setting is put back afterwards
         set_local = cp._blas_threads_local()
         if set_local is None:
             pytest.skip("BLAS without a per-thread thread count")
@@ -94,6 +96,53 @@ class TestTridiagonalize:
         assert T.e.tobytes() == np.abs(e).tobytes()
         after = set_local(before)
         assert after == before
+
+    @pytest.mark.parametrize("n", [400, 1000])
+    def test_two_stage_spectrum(self, n):
+        H = random_hermitian(n, 400 + n)
+        T = cp.tridiagonalize(H)
+        assert (T.e >= 0).all()
+        err = np.abs(bisection_eigenvalues(T) - np.linalg.eigvalsh(H)).max()
+        assert err <= 1e-12 * np.linalg.norm(H, 2)
+
+    @pytest.mark.parametrize("n", [400, 1000])
+    def test_bits_independent_of_blas_threads(self, n):
+        set_local = cp._blas_threads_local()
+        if set_local is None:
+            pytest.skip("BLAS without a per-thread thread count")
+        H = random_hermitian(n, 500 + n)
+        before = set_local(1)
+        try:
+            one = cp.tridiagonalize(H)
+            set_local(2)
+            two = cp.tridiagonalize(H)
+            assert set_local(2) == 2  # the reduction put the count back
+        finally:
+            set_local(before)
+        assert one.d.tobytes() == two.d.tobytes()
+        assert one.e.tobytes() == two.e.tobytes()
+
+    def test_one_stage_below_threshold(self):
+        n = cp._TWO_STAGE_N - 1
+        H = np.asfortranarray(random_hermitian(n, 700))
+        T = cp.tridiagonalize(H)
+        set_local = cp._blas_threads_local()
+        prev = set_local(1) if set_local is not None else None
+        try:
+            _, d, e, _, info = scipy.linalg.lapack.zhetrd(H, lwork=cp._zhetrd_lwork(n))
+        finally:
+            if prev is not None:
+                set_local(prev)
+        assert info == 0
+        assert T.d.tobytes() == d.tobytes()
+        assert T.e.tobytes() == np.abs(e).tobytes()
+
+    def test_one_stage_fallback_without_two_stage(self, monkeypatch):
+        monkeypatch.setattr(cp, "_zhetrd_2stage", lambda: None)
+        H = random_hermitian(cp._TWO_STAGE_N, 800)
+        T = cp.tridiagonalize(H)
+        err = np.abs(bisection_eigenvalues(T) - np.linalg.eigvalsh(H)).max()
+        assert err <= 1e-12 * np.linalg.norm(H, 2)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_batch_matches_lapack_path(self, n):
@@ -202,3 +251,28 @@ class TestCountBelow:
         lams = np.linspace(-5, 5, 101)
         counts = cp.count_below_many(T.d[None, :], T.e[None, :] ** 2, lams)[0]
         assert (np.diff(counts) >= 0).all()
+
+    def test_exact_zero_pivots_match_reference(self):
+        # the pivot recurrence written out with fresh arrays, as a reference
+        def reference(d, e2, lams):
+            lam = lams[None, :]
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                q = lam - d[:, 0, None]
+                count = (q > 0).astype(np.int64)
+                for k in range(1, d.shape[1]):
+                    q = np.where(q == 0.0, cp._PIVOT_SUB, q)
+                    q = (lam - d[:, k, None]) - e2[:, k - 1, None] / q
+                    count += q > 0
+            return count
+
+        rng = np.random.default_rng(14)
+        d = np.zeros((4, 6))
+        e2 = np.zeros((4, 5))
+        d[2] = rng.integers(-2, 3, 6)  # integer diagonal: pivots hit 0 exactly
+        d[3] = rng.standard_normal(6)
+        e2[1] = 1.0
+        e2[3] = rng.random(5)
+        lams = np.array([-1.0, 0.0, 1e-300, 1.0, 2.0])
+        counts = cp.count_below_many(d, e2, lams)
+        assert np.array_equal(counts, reference(d, e2, lams))
+        assert np.array_equal(counts[0], [0, 0, 6, 6, 6])  # d = 0, e = 0: none below 0

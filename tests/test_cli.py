@@ -177,6 +177,19 @@ lambda_max = 2.5
             assert abs(m_lo - m_hi) <= 3 * np.sqrt(2) * se + 2 / total
 
 
+    def test_large_n_thread_count_independent(self, tmp_path):
+        # from n = 400 the two-stage reduction runs; the CSV must not depend on --threads
+        cfg = write_cfg(tmp_path / "c.cfg",
+                        "ensemble = band\nn_dim = 400\nbandwidth = 40\nsamples = 3\nseed = 9\n")
+        outs = []
+        for threads in (1, 2):
+            p = tmp_path / f"t{threads}.csv"
+            assert run_cli(["spectrum", "--config", cfg, "--out", str(p),
+                            "--threads", str(threads), "--quiet"]) == 0
+            outs.append(p.read_bytes())
+        assert outs[0] == outs[1]
+
+
 class TestVerifyCommand:
     def test_saddle_suite_passes(self, capsys):
         assert run_cli(["verify", "saddle"]) == 0
