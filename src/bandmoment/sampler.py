@@ -3,7 +3,9 @@
 Random streams are counter-based (Philox): the stream for a given
 (master_seed, sample_index) is a pure function of both, so sampling is
 bit-reproducible regardless of thread count or call order.  Matrices are
-Hermitian by construction; only the upper triangle is drawn.
+Hermitian by construction: only the diagonal and upper triangle are used, and
+the lower triangle mirrors it.  `sample_batch` draws two full normal stacks and
+drops their lower triangles; `upper_samples` keeps only the entries it uses.
 """
 
 from __future__ import annotations

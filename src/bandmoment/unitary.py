@@ -78,6 +78,11 @@ def v12_moment(s: int, x: float) -> float:
             total += term
             if abs(term) <= 1e-16 * abs(total) or k > 200:
                 return total
+    return _v12_closed(s, x)
+
+
+def _v12_closed(s: int, x: float) -> float:
+    """h_s(x) in closed form; it cancels badly near 0, so `v12_moment` takes it for |x| > 8."""
     # d^s/dx^s x^-1 = (-1)^s s! x^-(s+1) and Leibniz on e^-x / x give
     # h_s(x) = s!/x^(s+1) - e^-x sum_j (s!/(s-j)!) x^-(j+1)
     sfac = math.factorial(s)

@@ -317,7 +317,7 @@ def suite_unitary(mc_samples: int = 200_000, haar_seed: int = 17, point_seed: in
         for x in (8.0, -8.0):
             a = unitary.v12_moment(s, x)
             # v12_moment takes the series at |x| = 8; the closed form is the other branch
-            b = _v12_closed(s, x)
+            b = unitary._v12_closed(s, x)
             cross = max(cross, abs(a - b) / abs(a))
     out.append(_check_tol("series/closed-form crossover at |x|=8", cross, 1e-9))
 
@@ -328,16 +328,6 @@ def suite_unitary(mc_samples: int = 200_000, haar_seed: int = 17, point_seed: in
         ok = ok and (vals > 0).all() and (np.diff(vals) < 1e-15).all()
     out.append(_check("h_s positive and decreasing on [0,50], s<=10", ok, "True", ok))
     return out
-
-
-def _v12_closed(s: int, x: float) -> float:
-    sfac = math.factorial(s)
-    acc = 0.0
-    fall = 1.0
-    for j in range(s + 1):
-        acc += fall / x ** (j + 1)
-        fall *= s - j
-    return sfac / x ** (s + 1) - math.exp(-x) * acc
 
 
 # ---------------------------------------------------------------------------

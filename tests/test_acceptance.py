@@ -106,19 +106,25 @@ def test_criterion_6_saddle_suite():
 
 @pytest.mark.slow
 def test_criterion_7_spectrum(tmp_path):
-    """Pooled counting measure vs semicircle: Kolmogorov distance at most 0.02."""
+    """Pooled counting measure vs semicircle: Kolmogorov distance at most 0.02,
+    and half the spectrum below the band center to 0.01."""
     cfg = tmp_path / "spectrum.cfg"
     cfg.write_text(
         "ensemble = band\nn_dim = 1000\nbandwidth = 100\nsamples = 20\nseed = 424242\n",
         encoding="utf-8")
     out = tmp_path / "spectrum.csv"
     code = cli.main(["spectrum", "--config", str(cfg), "--out", str(out), "--quiet"])
-    ks = None
+    ks, below_zero = None, 0.0
     for line in out.read_text().splitlines():
         if line.startswith("# ks_distance="):
             ks = float(line.split("=", 1)[1])
-    ok = code == 0 and ks is not None and ks <= 0.02
-    report(7, ok, f"KS distance {ks:.4f} (<=0.02), n=1000, W=100, 20 samples")
+        elif not line.startswith(("#", "bin_lo")):
+            _, bin_hi, mass, _ = map(float, line.split(","))
+            if bin_hi <= 0.0:
+                below_zero += mass
+    ok = code == 0 and ks is not None and ks <= 0.02 and abs(below_zero - 0.5) <= 0.01
+    report(7, ok, f"KS distance {ks:.4f} (<=0.02), mass below 0 {below_zero:.5f} "
+           f"(0.5 +- 0.01), n=1000, W=100, 20 samples")
 
 
 def test_criterion_8_determinism(tmp_path):

@@ -113,14 +113,6 @@ class TestChainCharpolys:
     def test_free_zero_mode(self, m):
         assert lt.charpoly_neumann(m, 0.0) == 0.0
 
-    @pytest.mark.parametrize("x", [0.1, 1.0, 2.0 + 3.0j])
-    def test_closed_form_matches_recurrence(self, x):
-        for m in range(1, 51):
-            r = lt.charpoly_pinned(m, x)
-            assert abs(lt.charpoly_pinned_closed(m, x) - r) <= 1e-10 * abs(r)
-            s = lt.charpoly_neumann(m, x)
-            assert abs(lt.charpoly_neumann_closed(m, x) - s) <= 1e-10 * abs(s)
-
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 40),
            st.complex_numbers(min_magnitude=0.01, max_magnitude=3.0).filter(lambda z: z.real > 0.01))

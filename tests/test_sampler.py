@@ -1,14 +1,12 @@
-"""Ensemble sampling: determinism, Hermiticity, entry covariances, spectra."""
+"""Ensemble sampling: determinism, Hermiticity, entry covariances, block memory."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from bandmoment import charpoly as cp
 from bandmoment import sampler as sm
 from bandmoment.lattice import Lattice1D, covariance_profile
-from bandmoment.saddle import semicircle_cdf
 
 
 class TestRngStream:
@@ -147,21 +145,3 @@ class TestUpperSamples:
         with pytest.raises(ValueError):
             sm.sample_batch("band", 5, prof, sm.RngStream(1), 1)
 
-
-@pytest.mark.slow
-def test_band_spectrum_matches_semicircle():
-    # pooled counting measure vs semicircle CDF: Kolmogorov distance <= 0.02
-    n_dim, W, n_samp = 1000, 100.0, 20
-    prof = covariance_profile(Lattice1D(n_dim), W)
-    grid = np.linspace(-3.0, 3.0, 1201)
-    pooled = np.zeros(len(grid), dtype=np.int64)
-    for i in range(n_samp):
-        H = sm.sample_rbm(prof, sm.RngStream(2025, i))
-        T = cp.tridiagonalize(H)
-        pooled += cp.count_below_many(T.d[None, :], T.e[None, :] ** 2, grid)[0]
-    emp = pooled / (n_samp * n_dim)
-    ks = np.abs(emp - semicircle_cdf(grid)).max()
-    assert ks <= 0.02
-    # counting measure at the band center: half the spectrum lies below 0
-    frac = emp[np.searchsorted(grid, 0.0)]
-    assert abs(frac - 0.5) <= 0.01
