@@ -6,22 +6,23 @@ real symmetric tridiagonal matrix (unitary similarity, spectrum preserved);
 each determinant evaluation is then a three-term recurrence, and eigenvalue
 counting is a Sturm sign count on the same recurrence.
 
-The reduction is LAPACK's: the one-stage Householder `zhetrd` through scipy
-below order `_TWO_STAGE_N`, and from there the two-stage `zhetrd_2stage`
-(dense to band, then band to tridiagonal; Haidar, Ltaief and Dongarra,
-SC'11), which scipy does not wrap and which is called through ctypes.  Both
-run on the calling thread alone, so their bits do not depend on the BLAS
-thread count.
+The reduction is LAPACK's, called through ctypes (`_lapack`): the one-stage
+Householder `zhetrd` below order `_TWO_STAGE_N`, and from there the two-stage
+`zhetrd_2stage` (dense to band, then band to tridiagonal; Haidar, Ltaief and
+Dongarra, SC'11).  Both run on the calling thread alone, so their bits do not
+depend on the BLAS thread count, and both release the interpreter lock, so
+worker threads reduce samples at the same time.
 """
 
 from __future__ import annotations
 
 import ctypes
-import functools
+import threading
+import weakref
 
 import numpy as np
-from scipy.linalg.lapack import zhetrd, zhetrd_lwork
 
+from . import _lapack
 from .lattice import TridiagonalSymmetric
 
 # rescaling window for the determinant recurrence
@@ -41,99 +42,92 @@ _PIVOT_SUB = -1e-300
 # reduction takes about the wall time of the two-thread zhetrd at half its CPU
 # (n=1000: 294 ms wall, 289 ms CPU against 309 ms, 586 ms).
 _TWO_STAGE_N = 400
+_COMPLEX = np.dtype(np.complex128)
 
 
-@functools.lru_cache(maxsize=64)
-def _zhetrd_lwork(n: int) -> int:
-    work, info = zhetrd_lwork(n)
-    if info != 0:  # pragma: no cover - the workspace query cannot fail for n >= 1
-        raise RuntimeError(f"zhetrd_lwork failed with info={info}")
-    return int(work.real)
+class _Reduction:
+    """LAPACK's reduction of one order n to tridiagonal form, set up once.
 
-
-@functools.cache
-def _lapack_library():
-    """The shared library behind scipy's LAPACK wrappers (ctypes), or None."""
-    try:
-        from scipy.linalg import _flapack
-        return ctypes.CDLL(_flapack.__file__)
-    except (ImportError, OSError):
-        return None
-
-
-@functools.cache
-def _blas_threads_local():
-    """OpenBLAS's per-thread `openblas_set_num_threads_local` behind scipy's LAPACK, or None.
-
-    It sets the BLAS thread count of the calling thread only and returns the
-    previous count, so other threads and the process-wide setting are left
-    alone.  Other BLAS builds and older OpenBLAS releases lack it; there the
-    reduction runs with whatever threading the library chooses.
+    Below `_TWO_STAGE_N` it is `zhetrd` with the workspace LAPACK's query
+    asks for, so the blocked reduction runs for n above its crossover.  From
+    there it is the two-stage `zhetrd_2stage` (dense to band by blocked
+    Householder, then band to tridiagonal by bulge chasing), which does most
+    of its work in matrix-matrix products; where the library lacks it, `zhetrd`
+    is used at every order.  The workspace and every ctypes argument are built
+    here, so a loop over many samples of one order pays for them once.  The
+    object holds its buffers across calls, so each thread has its own
+    (`_thread_reduction`).
     """
-    fn = getattr(_lapack_library(), "openblas_set_num_threads_local", None)
-    if fn is None:
-        return None
-    fn.argtypes = [ctypes.c_int]
-    fn.restype = ctypes.c_int
-    return fn
+
+    def __init__(self, n: int):
+        self.n = n
+        two_stage = _lapack.zhetrd_2stage() if n >= _TWO_STAGE_N else None
+        self._call = two_stage or _lapack.zhetrd()
+        # N, LHOUS2, LWORK, INFO; -1 sizes make the first call a workspace query
+        self._ints, (order, lh, lw, info) = _lapack.c_ints(n, -1, -1, 0)
+        one = ctypes.c_size_t(1)
+
+        def args(a, d, e, tau, hous2, work):
+            if two_stage is not None:
+                return [b"N", b"U", order, a, order, d, e, tau, hous2, lh, work, lw, info, one, one]
+            return [b"U", order, a, order, d, e, tau, work, lw, info, one]
+
+        sizes = np.zeros(2, dtype=complex)  # the query's answers: LHOUS2, LWORK
+        at = [ctypes.c_void_p(sizes.ctypes.data + 16 * i) for i in (0, 1)]
+        self._call(*args(at[0], at[0], at[0], at[0], at[0], at[1]))
+        if self._ints[3] != 0:  # pragma: no cover - the workspace query cannot fail for n >= 2
+            raise RuntimeError(f"workspace query failed with info={self._ints[3]}")
+        lhous2, lwork = (int(x.real) for x in sizes)
+        self._ints[1], self._ints[2] = lhous2, lwork
+        # separate arrays: carving them from one buffer made n = 64 ~8% slower
+        # (2-vCPU x86_64 VM)
+        self.d, self.e = np.empty(n), np.empty(n - 1)
+        self._buffers = [np.empty(k, dtype=complex) for k in (n - 1, lhous2, lwork)]
+        self._args = args(None, *(ctypes.c_void_p(x.ctypes.data)
+                                  for x in (self.d, self.e, *self._buffers)))
+        self._a_at = self._args.index(None)
+        self._a = lambda: None   # a weak reference to the array `_args` points at
+        self._set_local = _lapack.blas_threads_local()
+
+    def __call__(self, a: np.ndarray) -> TridiagonalSymmetric:
+        """Reduce `a` in place; its tridiagonal form, off-diagonals made nonnegative.
+
+        `a` must be an (n, n) Fortran-ordered, writeable complex128 array;
+        only its diagonal and upper triangle are read.  The BLAS of the
+        calling thread is set to one thread for the call and put back after.
+        """
+        if self._a() is not a:
+            # pointer first: an interrupt between these two lines then leaves
+            # a stale reference, which only costs a recomputed pointer
+            self._args[self._a_at] = ctypes.c_void_p(a.ctypes.data)
+            self._a = weakref.ref(a)
+        set_local = self._set_local
+        if set_local is None:
+            self._call(*self._args)
+        else:
+            prev = set_local(1)
+            try:
+                self._call(*self._args)
+            finally:
+                set_local(prev)
+        if self._ints[3] != 0:  # pragma: no cover - the reduction cannot fail on finite input
+            raise RuntimeError(f"Hermitian tridiagonal reduction failed with info={self._ints[3]}")
+        return TridiagonalSymmetric._unchecked(self.d.copy(), np.abs(self.e))
 
 
-@functools.cache
-def _zhetrd_2stage():
-    """LAPACK's `zhetrd_2stage` (LAPACK >= 3.7) behind scipy's LAPACK, or None.
+_per_thread = threading.local()
 
-    scipy's OpenBLAS exports it with a `scipy_` prefix; a plain LAPACK build
-    without one.  LP64 integers, and the two character arguments' lengths
-    trail as size_t.
+
+def _thread_reduction(n: int) -> _Reduction:
+    """The calling thread's `_Reduction` of order n.
+
+    Each thread keeps the one of the last order it reduced (its workspace is
+    about 1 MB at n = 1000).
     """
-    lib = _lapack_library()
-    for name in ("scipy_zhetrd_2stage_", "zhetrd_2stage_"):
-        fn = getattr(lib, name, None)
-        if fn is not None:
-            break
-    else:
-        return None
-    char, ptr, size = ctypes.c_char_p, ctypes.c_void_p, ctypes.c_size_t
-    intp = ctypes.POINTER(ctypes.c_int)
-    # VECT, UPLO, N, A, LDA, D, E, TAU, HOUS2, LHOUS2, WORK, LWORK, INFO
-    fn.argtypes = [char, char, intp, ptr, intp, ptr, ptr, ptr, ptr, intp, ptr, intp, intp,
-                   size, size]
-    fn.restype = None
-    return fn
-
-
-@functools.lru_cache(maxsize=64)
-def _zhetrd_2stage_lwork(n: int) -> tuple[int, int]:
-    """(LHOUS2, LWORK) that `zhetrd_2stage` asks for at order n, in complex entries."""
-    hous2, work, scratch = (np.zeros(1, dtype=complex) for _ in range(3))
-    order, query, info = ctypes.c_int(n), ctypes.c_int(-1), ctypes.c_int(0)
-    _zhetrd_2stage()(b"N", b"U", order, scratch.ctypes.data, order, scratch.ctypes.data,
-                     scratch.ctypes.data, scratch.ctypes.data, hous2.ctypes.data, query,
-                     work.ctypes.data, query, info, 1, 1)
-    if info.value != 0:  # pragma: no cover - the workspace query cannot fail for n >= 1
-        raise RuntimeError(f"zhetrd_2stage workspace query failed with info={info.value}")
-    return int(hous2[0].real), int(work[0].real)
-
-
-def _reduce_two_stage(reduce, H: np.ndarray, overwrite_a: bool):
-    """d, e and info of `zhetrd_2stage` (no vectors, upper triangle) on H."""
-    n = H.shape[0]
-    if H.ndim != 2 or H.shape[1] != n:
-        raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    in_place = (overwrite_a and H.dtype == np.complex128 and H.flags.f_contiguous
-                and H.flags.writeable and H.flags.aligned)
-    a = H if in_place else np.array(H, dtype=np.complex128, order="F")
-    lhous2, lwork = _zhetrd_2stage_lwork(n)
-    d = np.empty(n)
-    e = np.empty(n - 1)
-    tau = np.empty(n - 1, dtype=complex)
-    hous2 = np.empty(lhous2, dtype=complex)
-    work = np.empty(lwork, dtype=complex)
-    order, info = ctypes.c_int(n), ctypes.c_int(0)
-    reduce(b"N", b"U", order, a.ctypes.data, order, d.ctypes.data, e.ctypes.data,
-           tau.ctypes.data, hous2.ctypes.data, ctypes.c_int(lhous2), work.ctypes.data,
-           ctypes.c_int(lwork), info, 1, 1)
-    return d, e, info.value
+    reduction = getattr(_per_thread, "reduction", None)
+    if reduction is None or reduction.n != n:
+        reduction = _per_thread.reduction = _Reduction(n)
+    return reduction
 
 
 def tridiagonalize(H: np.ndarray, overwrite_a: bool = False) -> TridiagonalSymmetric:
@@ -144,35 +138,21 @@ def tridiagonalize(H: np.ndarray, overwrite_a: bool = False) -> TridiagonalSymme
     characteristic polynomial unchanged (diagonal +-1 similarity).  Only the
     diagonal and upper triangle of H are read.  With `overwrite_a`, a
     Fortran-ordered complex128 H is reduced in place (its contents are
-    destroyed) instead of being copied first.
-
-    Below `_TWO_STAGE_N` the reduction is scipy's `zhetrd` with LAPACK's
-    optimal workspace, so the blocked reduction runs for n above its
-    crossover.  From there it is LAPACK's two-stage `zhetrd_2stage` (dense to
-    band by blocked Householder, then band to tridiagonal by bulge chasing),
-    which does most of its work in matrix-matrix products; where the library
-    lacks it, `zhetrd` is used at every order.  Either way the reduction uses
-    no BLAS threads besides the calling one (where OpenBLAS allows it per
-    thread), so its bits do not depend on the BLAS thread count.
+    destroyed) instead of being copied first.  The reduction is LAPACK's,
+    through the calling thread's `_Reduction`, so a loop over samples of one
+    order builds its workspace and ctypes arguments once.
     """
     H = np.asarray(H)
-    n = H.shape[0]
+    shape = H.shape
+    if len(shape) != 2 or shape[0] != shape[1] or not shape[0]:
+        raise ValueError(f"expected a nonempty square matrix, got shape {shape}")
+    n = shape[0]
     if n == 1:
         return TridiagonalSymmetric(np.array([H[0, 0].real]), np.zeros(0))
-    two_stage = _zhetrd_2stage() if n >= _TWO_STAGE_N else None
-    set_local = _blas_threads_local()
-    prev = set_local(1) if set_local is not None else None
-    try:
-        if two_stage is not None:
-            d, e, info = _reduce_two_stage(two_stage, H, overwrite_a)
-        else:
-            _, d, e, _, info = zhetrd(H, lwork=_zhetrd_lwork(n), overwrite_a=overwrite_a)
-    finally:
-        if prev is not None:
-            set_local(prev)
-    if info != 0:  # pragma: no cover - the reduction cannot fail on finite input
-        raise RuntimeError(f"Hermitian tridiagonal reduction failed with info={info}")
-    return TridiagonalSymmetric(d, np.abs(e))
+    flags = H.flags
+    in_place = (overwrite_a and H.dtype == _COMPLEX and flags.f_contiguous
+                and flags.writeable and flags.aligned)
+    return _thread_reduction(n)(H if in_place else np.array(H, dtype=_COMPLEX, order="F"))
 
 
 def tridiagonalize_batch(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solveh_banded
+
+from . import _lapack
 
 
 @dataclass(frozen=True)
@@ -60,6 +61,18 @@ class TridiagonalSymmetric:
         object.__setattr__(self, "d", d)
         object.__setattr__(self, "e", e)
 
+    @classmethod
+    def _unchecked(cls, d: np.ndarray, e: np.ndarray) -> "TridiagonalSymmetric":
+        """Wrap 1-d float64 arrays of lengths n and n - 1 as they are, skipping the checks.
+
+        For a caller that built the arrays itself and makes one per sample,
+        where the checks would cost as much as a small reduction's LAPACK call.
+        """
+        t = object.__new__(cls)
+        object.__setattr__(t, "d", d)
+        object.__setattr__(t, "e", e)
+        return t
+
     @property
     def size(self) -> int:
         return len(self.d)
@@ -102,7 +115,7 @@ def neumann_laplacian(lat: Lattice1D) -> TridiagonalSymmetric:
 def covariance_profile(lat: Lattice1D, W: float) -> CovarianceProfile:
     """Covariance profile J = (W^2 K + 1)^-1 with K the free-boundary chain operator.
 
-    Computed column by column with a banded Cholesky solve (the matrix is
+    Computed column by column with a tridiagonal L D L^T solve (the matrix is
     symmetric positive definite with spectrum in [1, 1+4W^2]), followed by one
     step of iterative refinement so that the exact identities J = J^T and
     J.1 = 1 hold to full double precision.
@@ -115,20 +128,39 @@ def covariance_profile(lat: Lattice1D, W: float) -> CovarianceProfile:
         return CovarianceProfile(np.ones((1, 1)), float(W))
     lap = neumann_laplacian(lat)
     w2 = float(W) ** 2
-    # upper banded storage for W^2 K + I
-    ab = np.zeros((2, n))
-    ab[1] = w2 * lap.d + 1.0
-    ab[0, 1:] = w2 * lap.e
+    diag, off = w2 * lap.d + 1.0, w2 * lap.e
     rhs = np.eye(n)
     try:
-        J = solveh_banded(ab, rhs)
+        J = _solve_spd_tridiagonal(diag, off, rhs)
         # residual correction: one refinement pass removes the O(kappa*eps) drift
         R = rhs - _mul_shifted_tridiag(lap, w2, J)
-        J = J + solveh_banded(ab, R)
+        J = J + _solve_spd_tridiagonal(diag, off, R)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - cannot occur for SPD input
         raise RuntimeError(f"banded solver breakdown for W={W}, size={n}") from exc
     J = 0.5 * (J + J.T)
     return CovarianceProfile(J, float(W))
+
+
+def _solve_spd_tridiagonal(d: np.ndarray, e: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X with T X = B, T symmetric positive definite tridiagonal (diagonal d, off-diagonal e).
+
+    LAPACK's `dptsv` (an L D L^T factorization), the routine scipy's
+    `solveh_banded` calls for a band of one off-diagonal, with the same inputs,
+    so the bits are those of `solveh_banded`.  X is Fortran-ordered.
+    """
+    if not (np.isfinite(d).all() and np.isfinite(e).all() and np.isfinite(B).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    n, nrhs = B.shape
+    d = np.array(d, dtype=float)    # dptsv overwrites d and e with the factors
+    e = np.array(e, dtype=float)
+    X = np.array(B, dtype=float, order="F")
+    ints, (order, cols, info) = _lapack.c_ints(n, nrhs, 0)
+    _lapack.dptsv()(order, cols, d.ctypes.data, e.ctypes.data, X.ctypes.data, order, info)
+    if ints[2] > 0:
+        raise np.linalg.LinAlgError(f"{ints[2]}th leading minor not positive definite")
+    if ints[2] < 0:  # pragma: no cover - every argument is checked above
+        raise ValueError(f"illegal value in argument {-ints[2]} of dptsv")
+    return X
 
 
 def _mul_shifted_tridiag(t: TridiagonalSymmetric, scale: float, X: np.ndarray) -> np.ndarray:

@@ -177,7 +177,7 @@ def tridiagonal_block(kind: str, n: int, profile, seed: int, start: int,
 
     A block of more than one sample up to n = _SMALL_N_BATCH is sampled as one
     stack and reduced by the vectorized Householder, whose numpy overhead only
-    pays across a stack; otherwise each sample is reduced in place by zhetrd.
+    pays across a stack; otherwise each sample is reduced in place by LAPACK.
     """
     stream = sampler.RngStream(seed, start)
     if n <= _SMALL_N_BATCH and count > 1:

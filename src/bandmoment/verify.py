@@ -14,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
-import scipy.stats
 
 from . import charpoly, dualrep, lattice, moments, sampler, unitary
 from .saddle import (
@@ -172,6 +170,8 @@ def _partition_quadrature(m: int, gamma: complex, W: float, nodes: int = 64) -> 
 # ---------------------------------------------------------------------------
 
 def suite_saddle() -> list[CheckResult]:
+    import scipy.integrate  # here, not at the top: the package itself does not load scipy
+
     out = []
     out.append(_check("rho(0)", f"{semicircle_density(0.0):.10f}", f"{1/math.pi:.10f}",
                       abs(semicircle_density(0.0) - 1 / math.pi) < 1e-14))
@@ -260,6 +260,8 @@ def _stderr(x: np.ndarray) -> float:
 
 def suite_unitary(mc_samples: int = 200_000, haar_seed: int = 17, point_seed: int = 77,
                   points: int = 3) -> list[CheckResult]:
+    import scipy.stats
+
     out = []
     h_err = max(abs(unitary.v12_moment(s, 0.0) - 1.0 / (s + 1)) for s in range(7))
     out.append(_check_tol("h_s(0) - 1/(s+1), s<=6", h_err, 1e-12))

@@ -1,11 +1,14 @@
 """Signed-log determinants, tridiagonalization, Sturm counting."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from bandmoment import _lapack
 from bandmoment import charpoly as cp
 from bandmoment.lattice import TridiagonalSymmetric
 
@@ -80,17 +83,18 @@ class TestTridiagonalize:
 
     @pytest.mark.parametrize("n", [64, 100])
     def test_serial_blas_reduction(self, n):
-        # below _TWO_STAGE_N scipy's zhetrd reduces on the calling thread alone;
-        # at these orders that gives the same bits as the threaded reduction,
-        # and the thread's BLAS setting is put back afterwards
-        set_local = cp._blas_threads_local()
+        # below _TWO_STAGE_N zhetrd reduces on the calling thread alone; at
+        # these orders that gives the same bits as scipy's threaded call, and
+        # the thread's BLAS setting is put back afterwards
+        set_local = _lapack.blas_threads_local()
         if set_local is None:
             pytest.skip("BLAS without a per-thread thread count")
         H = np.asfortranarray(random_hermitian(n, 300 + n))
         before = set_local(0)
         set_local(before)
         T = cp.tridiagonalize(H)
-        _, d, e, _, info = scipy.linalg.lapack.zhetrd(H, lwork=cp._zhetrd_lwork(n))
+        work, _ = scipy.linalg.lapack.zhetrd_lwork(n)
+        _, d, e, _, info = scipy.linalg.lapack.zhetrd(H, lwork=int(work.real))
         assert info == 0
         assert T.d.tobytes() == d.tobytes()
         assert T.e.tobytes() == np.abs(e).tobytes()
@@ -107,7 +111,7 @@ class TestTridiagonalize:
 
     @pytest.mark.parametrize("n", [400, 1000])
     def test_bits_independent_of_blas_threads(self, n):
-        set_local = cp._blas_threads_local()
+        set_local = _lapack.blas_threads_local()
         if set_local is None:
             pytest.skip("BLAS without a per-thread thread count")
         H = random_hermitian(n, 500 + n)
@@ -122,14 +126,19 @@ class TestTridiagonalize:
         assert one.d.tobytes() == two.d.tobytes()
         assert one.e.tobytes() == two.e.tobytes()
 
-    def test_one_stage_below_threshold(self):
-        n = cp._TWO_STAGE_N - 1
-        H = np.asfortranarray(random_hermitian(n, 700))
+    @pytest.mark.parametrize("n", [2, 3, 9, 64, cp._TWO_STAGE_N - 1])
+    def test_one_stage_below_threshold(self, n):
+        # the ctypes zhetrd gives the bits of scipy's f2py zhetrd with the
+        # workspace scipy's own query asks for (from n = 32 on, a smaller one
+        # changes the blocking and the bits)
+        H = np.asfortranarray(random_hermitian(n, 700 + n))
         T = cp.tridiagonalize(H)
-        set_local = cp._blas_threads_local()
+        work, info = scipy.linalg.lapack.zhetrd_lwork(n)
+        assert info == 0
+        set_local = _lapack.blas_threads_local()
         prev = set_local(1) if set_local is not None else None
         try:
-            _, d, e, _, info = scipy.linalg.lapack.zhetrd(H, lwork=cp._zhetrd_lwork(n))
+            _, d, e, _, info = scipy.linalg.lapack.zhetrd(H, lwork=int(work.real))
         finally:
             if prev is not None:
                 set_local(prev)
@@ -138,11 +147,59 @@ class TestTridiagonalize:
         assert T.e.tobytes() == np.abs(e).tobytes()
 
     def test_one_stage_fallback_without_two_stage(self, monkeypatch):
-        monkeypatch.setattr(cp, "_zhetrd_2stage", lambda: None)
+        monkeypatch.setattr(_lapack, "zhetrd_2stage", lambda: None)
+        monkeypatch.setattr(cp, "_per_thread", threading.local())  # no cached two-stage setup
         H = random_hermitian(cp._TWO_STAGE_N, 800)
         T = cp.tridiagonalize(H)
         err = np.abs(bisection_eigenvalues(T) - np.linalg.eigvalsh(H)).max()
         assert err <= 1e-12 * np.linalg.norm(H, 2)
+
+    @pytest.mark.parametrize("n", [5, 64, cp._TWO_STAGE_N])
+    def test_reused_workspace_gives_fresh_bits(self, n):
+        # one thread's workspace serves every reduction of its order: reducing
+        # B in place after A gives the bits of reducing B with a new workspace
+        A = np.asfortranarray(random_hermitian(n, 900 + n))
+        B = np.asfortranarray(random_hermitian(n, 950 + n))
+        cp._per_thread.reduction = None
+        fresh = cp.tridiagonalize(B)
+        cp.tridiagonalize(A, overwrite_a=True)  # A stays alive, and B is another array
+        reused = cp.tridiagonalize(B, overwrite_a=True)
+        assert reused.d.tobytes() == fresh.d.tobytes()
+        assert reused.e.tobytes() == fresh.e.tobytes()
+
+    def test_threads_reduce_concurrently_with_serial_bits(self):
+        # more threads than cores, each with its own workspace, switching often:
+        # every reduction has the bits of the same reduction done serially
+        mats = [np.asfortranarray(random_hermitian(n, 1000 + i)) for i, n in
+                enumerate([9, 64, 9, 64, 17, 64])]
+        want = [cp.tridiagonalize(H) for H in mats]
+        got = [[] for _ in mats]
+
+        def work(i):
+            for _ in range(30):
+                buf = mats[i].copy(order="F")
+                got[i].append(cp.tridiagonalize(buf, overwrite_a=True))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(mats))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        for w, g in zip(want, got):
+            assert len(g) == 30
+            assert all(t.d.tobytes() == w.d.tobytes() and t.e.tobytes() == w.e.tobytes()
+                       for t in g)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (3, 4), (4,), (2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError):
+            cp.tridiagonalize(np.zeros(shape, dtype=complex))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
     def test_batch_matches_lapack_path(self, n):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solveh_banded
 
 from bandmoment import charpoly as cp
 from bandmoment import lattice as lt
@@ -84,6 +85,30 @@ class TestCovarianceProfile:
     def test_rejects_bad_bandwidth(self):
         with pytest.raises(ValueError):
             lt.covariance_profile(lt.Lattice1D(3), 0.0)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            lt.covariance_profile(lt.Lattice1D(3), math.inf)
+
+    @pytest.mark.parametrize("W", [0.7, 64.0])
+    @pytest.mark.parametrize("n", [2, 3, 64, 1000])
+    def test_bits_of_the_solveh_banded_route(self, n, W):
+        # the profile as computed through scipy's solveh_banded, which calls
+        # dptsv for a band of one off-diagonal
+        lap = lt.neumann_laplacian(lt.Lattice1D(n))
+        w2 = W ** 2
+        ab = np.zeros((2, n))
+        ab[1] = w2 * lap.d + 1.0
+        ab[0, 1:] = w2 * lap.e
+        rhs = np.eye(n)
+        J = solveh_banded(ab, rhs)
+        J = J + solveh_banded(ab, rhs - lt._mul_shifted_tridiag(lap, w2, J))
+        J = 0.5 * (J + J.T)
+        assert lt.covariance_profile(lt.Lattice1D(n), W).J.tobytes() == J.tobytes()
+
+    def test_solver_raises_on_indefinite_band(self):
+        with pytest.raises(np.linalg.LinAlgError, match="2th leading minor"):
+            lt._solve_spd_tridiagonal(np.array([1.0, -1.0]), np.array([0.0]), np.eye(2))
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            lt._solve_spd_tridiagonal(np.ones(2), np.array([math.nan]), np.eye(2))
 
 
 class TestChainCharpolys:
