@@ -19,6 +19,26 @@ def random_hermitian(n, seed):
     return (A + A.conj().T) / 2
 
 
+def assert_matches_f2py_zhetrd(n, seed):
+    """The ctypes zhetrd gives the bits of scipy's f2py zhetrd with the
+    workspace scipy's own query asks for (from n = 32 on, a smaller one
+    changes the blocking and the bits)."""
+    H = np.asfortranarray(random_hermitian(n, seed))
+    T = cp.tridiagonalize(H)
+    work, info = scipy.linalg.lapack.zhetrd_lwork(n)
+    assert info == 0
+    set_local = _lapack.blas_threads_local()
+    prev = set_local(1) if set_local is not None else None
+    try:
+        _, d, e, _, info = scipy.linalg.lapack.zhetrd(H, lwork=int(work.real))
+    finally:
+        if prev is not None:
+            set_local(prev)
+    assert info == 0
+    assert T.d.tobytes() == d.tobytes()
+    assert T.e.tobytes() == np.abs(e).tobytes()
+
+
 def bisection_eigenvalues(T):
     """Independent oracle: LAPACK bisection on the tridiagonal arrays."""
     if T.size == 1:
@@ -126,25 +146,12 @@ class TestTridiagonalize:
         assert one.d.tobytes() == two.d.tobytes()
         assert one.e.tobytes() == two.e.tobytes()
 
-    @pytest.mark.parametrize("n", [2, 3, 9, 64, cp._TWO_STAGE_N - 1])
-    def test_one_stage_below_threshold(self, n):
-        # the ctypes zhetrd gives the bits of scipy's f2py zhetrd with the
-        # workspace scipy's own query asks for (from n = 32 on, a smaller one
-        # changes the blocking and the bits)
-        H = np.asfortranarray(random_hermitian(n, 700 + n))
-        T = cp.tridiagonalize(H)
-        work, info = scipy.linalg.lapack.zhetrd_lwork(n)
-        assert info == 0
-        set_local = _lapack.blas_threads_local()
-        prev = set_local(1) if set_local is not None else None
-        try:
-            _, d, e, _, info = scipy.linalg.lapack.zhetrd(H, lwork=int(work.real))
-        finally:
-            if prev is not None:
-                set_local(prev)
-        assert info == 0
-        assert T.d.tobytes() == d.tobytes()
-        assert T.e.tobytes() == np.abs(e).tobytes()
+    def test_one_stage_below_threshold(self):
+        assert_matches_f2py_zhetrd(cp._TWO_STAGE_N - 1, 700)
+
+    @pytest.mark.parametrize("n", [2, 3, 9, 64])
+    def test_one_stage_small_orders(self, n):
+        assert_matches_f2py_zhetrd(n, 700 + n)
 
     def test_one_stage_fallback_without_two_stage(self, monkeypatch):
         monkeypatch.setattr(_lapack, "zhetrd_2stage", lambda: None)

@@ -43,6 +43,17 @@ class TestSingleSite:
         val = dr.dual_f2_n1(0.0, 0.5, -0.5, grid40)
         assert val.real == pytest.approx(1.0 - math.pi**2 / 4.0, rel=1e-6)
 
+    @pytest.mark.parametrize("lambda0", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("xis", [(0.0, 0.0), (0.5, -0.5), (0.3, -0.2), (0.7, 0.1)])
+    def test_representation_identity(self, grid40, profile1, lambda0, xis):
+        # the strongest statement in the package: the dual field integral
+        # reproduces the direct-ensemble moment pointwise
+        val = dr.dual_f2_n1(lambda0, xis[0], xis[1], grid40)
+        p = scaled_lambdas(lambda0, xis[0], xis[1], 1)
+        exact = mo.wick_exact_f2(1, p.lambda1, p.lambda2, profile1)
+        assert abs(val.real - exact) <= 1e-6 * abs(exact)
+        assert abs(val.imag) <= 1e-8 * max(abs(val.real), 1e-30)
+
     def test_grid_convergence_all_acceptance_points(self, grid40):
         # 32 vs 40 nodes across the full parameter set; 40 vs 48 is exercised
         # for the same points by the in-op convergence check elsewhere
