@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import charpoly, moments, verify
+from . import charpoly, moments, sampler, verify
 from .lattice import Lattice1D, covariance_profile
 from .saddle import semicircle_cdf
 
@@ -217,7 +217,6 @@ def cmd_moment_scan(cfg: ExperimentConfig, quiet: bool) -> int:
                        f"bandwidth={_fmt(cfg.bandwidth)}")
     writer.row(["xi1", "xi2", "ratio", "stderr", "sine_ref", "deviation",
                 "n_dim", "bandwidth", "samples", "seed"])
-    interrupted = False
     progress = _Progress("moment-scan", cfg.samples, quiet)
     try:
         results = moments.moment_scan(
@@ -228,17 +227,11 @@ def cmd_moment_scan(cfg: ExperimentConfig, quiet: bool) -> int:
             writer.row([r.params.xi1, r.params.xi2, r.ratio, r.stderr, r.sine_ref,
                         r.deviation, cfg.n_dim, bandwidth_out, cfg.samples, cfg.seed])
     except KeyboardInterrupt:
-        interrupted = True
-    except moments.EstimatorError as exc:
-        writer.close()
-        print(f"estimator failure: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATOR
-    if interrupted:
         writer.comment("INCOMPLETE")
-        writer.close()
         print("interrupted; partial CSV flushed", file=sys.stderr)
         return EXIT_INTERRUPTED
-    writer.close()
+    finally:
+        writer.close()
     if not quiet:
         print(f"moment-scan: {len(cfg.xi_grid)} rows -> {cfg.out}")
     return EXIT_OK
@@ -258,12 +251,12 @@ def _spectrum_counts(cfg: ExperimentConfig, edges: np.ndarray, progress: _Progre
     not depend on the run length.
     """
     profile = (covariance_profile(Lattice1D(cfg.n_dim), cfg.bandwidth)
-               if cfg.ensemble == "band" else None)
+               if cfg.ensemble == "band" else sampler.gue_profile(cfg.n_dim))
     run = max(1, min(2 ** 16 // cfg.n_dim ** 2, 2 ** 18 // len(edges),
                      cfg.samples // (4 * cfg.threads)))
 
     def count_run(start: int) -> np.ndarray:
-        d, e = zip(*(moments.tridiagonal_block(cfg.ensemble, cfg.n_dim, profile, cfg.seed, i, 1)
+        d, e = zip(*(moments.tridiagonal_block(profile, cfg.seed, i, 1)
                      for i in range(start, min(start + run, cfg.samples))))
         return charpoly.count_below_many(np.concatenate(d), np.concatenate(e) ** 2,
                                          edges).sum(axis=0)
@@ -365,7 +358,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
-    except (moments.EstimatorError,) as exc:
+    except moments.EstimatorError as exc:
         print(f"estimator failure: {exc}", file=sys.stderr)
         return EXIT_ESTIMATOR
 

@@ -20,30 +20,13 @@ from . import _lapack
 
 @dataclass(frozen=True)
 class Lattice1D:
-    """Finite chain of ``size >= 1`` sites.
-
-    Odd sizes correspond to the symmetric index range -half_width..half_width;
-    even sizes are admitted as well (the chain operator and covariance profile
-    are defined for any length).
-    """
+    """Finite chain of ``size >= 1`` sites."""
 
     size: int
 
     def __post_init__(self):
         if self.size < 1:
             raise ValueError("lattice size must be >= 1")
-
-    @property
-    def half_width(self) -> int:
-        if self.size % 2 == 0:
-            raise ValueError("half_width is defined only for odd-size lattices")
-        return (self.size - 1) // 2
-
-    @classmethod
-    def from_half_width(cls, half_width: int) -> "Lattice1D":
-        if half_width < 0:
-            raise ValueError("half_width must be nonnegative")
-        return cls(2 * half_width + 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,6 +73,11 @@ class CovarianceProfile:
 
     J: np.ndarray
     W: float
+
+    def __post_init__(self):
+        shape = np.shape(self.J)
+        if len(shape) != 2 or shape[0] != shape[1] or shape[0] < 1:
+            raise ValueError(f"profile J must be a nonempty square matrix, got shape {shape}")
 
     @property
     def size(self) -> int:
@@ -216,25 +204,30 @@ def charpoly_neumann_closed(m: int, x: complex) -> complex:
     return (z ** m - z ** (-m)) * (z - 1.0) / (z + 1.0)
 
 
-def _log_charpoly_pinned(m: int, x: complex) -> complex:
-    """log T_m(x) accumulated from per-step ratios, continuous in m.
+def _log_ratios(steps: int, x: complex) -> tuple[complex, complex]:
+    """Sum of the principal logs of t_1..t_steps (steps >= 1), and t_steps.
 
-    The ratio recurrence t_k = (2+x) - 1/t_{k-1} stays bounded where the plain
-    recurrence would overflow, and summing principal logs of the ratios keeps
-    the imaginary part continuous as m grows.
+    The ratios t_k = T_k / T_{k-1} (t_1 = 1+x, t_k = (2+x) - 1/t_{k-1}) stay
+    bounded where the plain recurrence would overflow, and summing their
+    principal logs keeps the imaginary part continuous as k grows.
     """
-    if m == 0:
-        return 0.0 + 0j
     t = 1.0 + x
     if t == 0:
         raise ZeroDivisionError("chain determinant hit an exact zero ratio")
     acc = cmath.log(t)
-    for _ in range(m - 1):
+    for _ in range(steps - 1):
         t = (2.0 + x) - 1.0 / t
         if t == 0:
             raise ZeroDivisionError("chain determinant hit an exact zero ratio")
         acc += cmath.log(t)
-    return acc
+    return acc, t
+
+
+def _log_charpoly_pinned(m: int, x: complex) -> complex:
+    """log T_m(x) accumulated from per-step ratios, continuous in m (see `_log_ratios`)."""
+    if m == 0:
+        return 0.0 + 0j
+    return _log_ratios(m, x)[0]
 
 
 def _log_charpoly_neumann(m: int, x: complex) -> complex:
@@ -246,11 +239,7 @@ def _log_charpoly_neumann(m: int, x: complex) -> complex:
     if m == 1:
         return cmath.log(x)
     # S_m / T_{m-1} = (1+x) - 1/t_{m-1}
-    t = 1.0 + x
-    acc = cmath.log(t)
-    for _ in range(m - 2):
-        t = (2.0 + x) - 1.0 / t
-        acc += cmath.log(t)
+    acc, t = _log_ratios(m - 1, x)
     return acc + cmath.log((1.0 + x) - 1.0 / t)
 
 

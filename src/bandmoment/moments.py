@@ -171,22 +171,23 @@ class DetLogSamples:
     rejected: int
 
 
-def tridiagonal_block(kind: str, n: int, profile, seed: int, start: int,
+def tridiagonal_block(profile: CovarianceProfile, seed: int, start: int,
                       count: int) -> tuple[np.ndarray, np.ndarray]:
-    """d (count, n) and e (count, n - 1) >= 0 of the samples keyed by RngStream(seed, start).
+    """Tridiagonal forms of the `count` samples of `profile` keyed by RngStream(seed, start).
 
+    Returns d (count, n) and e (count, n - 1) >= 0, with n = profile.size.
     A block of more than one sample up to n = _SMALL_N_BATCH is sampled as one
     stack and reduced by the vectorized Householder, whose numpy overhead only
     pays across a stack; otherwise each sample is reduced in place by LAPACK.
     """
+    n = profile.size
     stream = sampler.RngStream(seed, start)
     if n <= _SMALL_N_BATCH and count > 1:
-        return charpoly.tridiagonalize_batch(
-            sampler.sample_batch(kind, n, profile, stream, count))
+        return charpoly.tridiagonalize_batch(sampler.sample_batch(profile, stream, count))
     d = np.empty((count, n))
     e = np.empty((count, n - 1))
     buf = np.empty((n, n), dtype=complex, order="F")
-    for b, H in enumerate(sampler.upper_samples(kind, n, profile, stream, count, buf)):
+    for b, H in enumerate(sampler.upper_samples(profile, stream, count, buf)):
         t = charpoly.tridiagonalize(H, overwrite_a=True)
         d[b] = t.d
         e[b] = t.e
@@ -221,10 +222,9 @@ def _run_ordered(fn, items, threads: int, consume) -> None:
             raise
 
 
-def _eval_chunk(kind: str, n: int, profile, lambdas, seed, start, count,
-                signs_out, logs_out):
+def _eval_chunk(profile, lambdas, seed, start, count, signs_out, logs_out):
     """Fill one fixed block of the output arrays; pure function of its arguments."""
-    d, e = tridiagonal_block(kind, n, profile, seed, start, count)
+    d, e = tridiagonal_block(profile, seed, start, count)
     s, lg = charpoly.char_det_many(d, e ** 2, lambdas)
     signs_out[start:start + count] = s
     logs_out[start:start + count] = lg
@@ -251,7 +251,7 @@ def det_log_samples(ensemble: str, n: int, W: float | None, lambdas,
             raise ValueError("band ensemble requires a positive bandwidth W")
         profile = covariance_profile(Lattice1D(n), W)
     elif ensemble == "gue":
-        profile = None
+        profile = sampler.gue_profile(n)
     else:
         raise ValueError(f"unknown ensemble {ensemble!r}")
 
@@ -260,7 +260,7 @@ def det_log_samples(ensemble: str, n: int, W: float | None, lambdas,
     jobs = [(start, min(_CHUNK, samples - start)) for start in range(0, samples, _CHUNK)]
 
     def chunk(job):
-        _eval_chunk(ensemble, n, profile, lambdas, seed, job[0], job[1], signs, logs)
+        _eval_chunk(profile, lambdas, seed, job[0], job[1], signs, logs)
 
     def report(job, _):
         if progress is not None:

@@ -1,4 +1,10 @@
-"""Reproducible sampling of the band ensemble and of GUE.
+"""Reproducible sampling of Hermitian Gaussian matrices from a covariance profile.
+
+An ensemble is given by its variance profile J alone (a `CovarianceProfile`,
+n = profile.size): the band ensemble's is `covariance_profile(Lattice1D(n), W)`,
+GUE's the flat `gue_profile(n)`.  Diagonal entries are real Gaussians of
+variance J_ii; above the diagonal the real and imaginary parts of H_ij are
+independent Gaussians of variance J_ij/2, so E|H_ij|^2 = J_ij, E H_ij^2 = 0.
 
 Random streams are counter-based (Philox): the stream for a given
 (master_seed, sample_index) is a pure function of both, so sampling is
@@ -40,9 +46,6 @@ class RngStream:
         if not 0 <= int(self.sample_index) <= _MASK64:
             raise ValueError("sample_index must fit in 64 bits")
 
-    def at(self, sample_index: int) -> "RngStream":
-        return RngStream(self.master_seed, sample_index)
-
     def generator(self) -> np.random.Generator:
         bg = np.random.Philox(key=self.master_seed, counter=(int(self.sample_index) << 128) & ((1 << 256) - 1))
         return np.random.Generator(bg)
@@ -64,19 +67,11 @@ def _upper_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([i * n + j, d]), 2 * np.concatenate([i + j * n, d])
 
 
-def _upper_entries(kind: str, n: int, profile: CovarianceProfile | None
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _upper_entries(profile: CovarianceProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The `_upper_index` of the drawn entries and the s.d. of each: that of the
     real diagonal entry on the diagonal, and that of the real and of the
     imaginary part of each entry above it."""
-    if kind == "gue":
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        profile = gue_profile(n)
-    elif kind != "band":
-        raise ValueError(f"unknown ensemble kind {kind!r}")
-    elif profile.J.shape != (n, n):
-        raise ValueError(f"profile of size {profile.size} does not match n = {n}")
+    n = profile.size
     c_index, f_index = _upper_index(n)
     sd = np.take(profile.J, c_index)
     sd[:-n] /= 2.0
@@ -84,37 +79,22 @@ def _upper_entries(kind: str, n: int, profile: CovarianceProfile | None
 
 
 def sample_rbm(profile: CovarianceProfile, stream: RngStream) -> np.ndarray:
-    """One Hermitian band-ensemble sample with E|H_ij|^2 = J_ij.
-
-    Diagonal entries are real Gaussians with variance J_ii; for i < j the real
-    and imaginary parts of H_ij are independent Gaussians of variance J_ij/2,
-    so E H_ij^2 = 0.
-    """
-    return sample_batch("band", profile.size, profile, stream, 1)[0]
+    """One Hermitian sample of `profile`, E|H_ij|^2 = J_ij."""
+    return sample_batch(profile, stream, 1)[0]
 
 
 def sample_gue(n: int, stream: RngStream) -> np.ndarray:
-    """One GUE sample normalized so the limiting spectrum fills [-2, 2].
-
-    E|H_ij|^2 = 1/n for every entry (diagonal variance 1/n, off-diagonal
-    real/imag variances 1/2n each), matching the band ensemble's row-sum-1
-    normalization.
-    """
-    return sample_batch("gue", n, None, stream, 1)[0]
+    """One sample of `gue_profile(n)`: the limiting spectrum fills [-2, 2]."""
+    return sample_batch(gue_profile(n), stream, 1)[0]
 
 
 def gue_profile(n: int) -> CovarianceProfile:
-    """Flat variance profile J_ij = 1/n describing the GUE entry covariances.
-
-    Useful as input to covariance-driven code (e.g. the exact pairing
-    expansion); rows sum to one like the band profile.
-    """
-    return CovarianceProfile(np.full((n, n), 1.0 / n), float(n))
+    """GUE's flat variance profile J_ij = 1/n; rows sum to one like the band profile."""
+    return CovarianceProfile(np.ones((n, n)) / n, float(n))
 
 
-def sample_batch(kind: str, n: int, profile: CovarianceProfile | None,
-                 stream: RngStream, count: int) -> np.ndarray:
-    """Stack of `count` Hermitian samples drawn from a single substream.
+def sample_batch(profile: CovarianceProfile, stream: RngStream, count: int) -> np.ndarray:
+    """Stack of `count` Hermitian samples of `profile` drawn from a single substream.
 
     All entries for the block come from `stream` in a fixed order, so the
     block is a pure function of (stream, count); callers that key the stream
@@ -123,7 +103,8 @@ def sample_batch(kind: str, n: int, profile: CovarianceProfile | None,
     the second the imaginary parts; the entries below the diagonal of both
     stacks are drawn but unused.
     """
-    index, _, sd = _upper_entries(kind, n, profile)
+    n = profile.size
+    index, _, sd = _upper_entries(profile)
     S = np.zeros((n, n))
     S.flat[index] = sd
     g = stream.generator()
@@ -134,14 +115,14 @@ def sample_batch(kind: str, n: int, profile: CovarianceProfile | None,
     return H
 
 
-def upper_samples(kind: str, n: int, profile: CovarianceProfile | None,
-                  stream: RngStream, count: int, out: np.ndarray) -> Iterator[np.ndarray]:
+def upper_samples(profile: CovarianceProfile, stream: RngStream, count: int,
+                  out: np.ndarray) -> Iterator[np.ndarray]:
     """The samples of `sample_batch`, written one at a time into `out` and yielded.
 
     `out` is an (n, n) complex array, Fortran-ordered so that LAPACK can
     reduce it in place.  Each step overwrites its diagonal and upper triangle
-    with the same values `sample_batch(kind, n, profile, stream, count)[b]`
-    holds there, from the same draws.  The strictly lower triangle and the
+    with the same values `sample_batch(profile, stream, count)[b]` holds
+    there, from the same draws.  The strictly lower triangle and the
     imaginary part of the diagonal are zeroed once, before the first sample,
     and not written again, so `out` is only valid for routines that read the
     upper triangle (zhetrd with uplo='U').
@@ -156,7 +137,8 @@ def upper_samples(kind: str, n: int, profile: CovarianceProfile | None,
     of the two stacks.  Each sample's imaginary normals are drawn into a
     reused buffer just before the sample is yielded.
     """
-    src, dst, sd = _upper_entries(kind, n, profile)
+    n = profile.size
+    src, dst, sd = _upper_entries(profile)
     strict = len(src) - n    # the imaginary parts: entries above the diagonal
     flat = np.reshape(out, -1, order="F", copy=False).view(np.float64)
     g = stream.generator()

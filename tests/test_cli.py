@@ -255,7 +255,7 @@ def test_interrupt_in_progress_cancels_queued_work(tmp_path, monkeypatch, comman
 
     started = []
     if command == "moment-scan":
-        def fake_chunk(kind, n, profile, lambdas, seed, start, count, signs, logs):
+        def fake_chunk(profile, lambdas, seed, start, count, signs, logs):
             started.append(start)
             time.sleep(0.05)
 
@@ -295,6 +295,25 @@ def test_interrupt_flushes_incomplete_trailer(tmp_path, monkeypatch):
     code = run_cli(["moment-scan", "--config", cfg, "--out", str(out), "--quiet"])
     assert code == 130
     assert out.read_text().rstrip().endswith("# INCOMPLETE")
+
+
+def test_estimator_failure_exits_3_with_closed_csv(tmp_path, monkeypatch, capsys):
+    from bandmoment import moments as mo
+
+    def fail(*args, **kwargs):
+        raise mo.EstimatorError("all samples rejected")
+
+    close, closed = cli._CsvWriter.close, []
+    monkeypatch.setattr(mo, "moment_scan", fail)
+    monkeypatch.setattr(cli._CsvWriter, "close", lambda self: closed.append(close(self)))
+    cfg = write_cfg(tmp_path / "c.cfg", BASE_SCAN)
+    out = tmp_path / "scan.csv"
+    code = run_cli(["moment-scan", "--config", cfg, "--out", str(out), "--quiet"])
+    assert code == 3 and len(closed) == 1
+    assert "estimator failure: all samples rejected" in capsys.readouterr().err
+    text = out.read_text()
+    assert text.splitlines()[-1].startswith("xi1,xi2,ratio,")
+    assert "INCOMPLETE" not in text
 
 
 def test_console_entry_point():

@@ -36,10 +36,6 @@ class TestNeumannLaplacian:
     def test_lattice_validators(self):
         with pytest.raises(ValueError):
             lt.Lattice1D(0)
-        assert lt.Lattice1D.from_half_width(3).size == 7
-        assert lt.Lattice1D(7).half_width == 3
-        with pytest.raises(ValueError):
-            lt.Lattice1D(4).half_width  # noqa: B018
 
 
 class TestCovarianceProfile:
@@ -103,6 +99,11 @@ class TestCovarianceProfile:
         J = J + solveh_banded(ab, rhs - lt._mul_shifted_tridiag(lap, w2, J))
         J = 0.5 * (J + J.T)
         assert lt.covariance_profile(lt.Lattice1D(n), W).J.tobytes() == J.tobytes()
+
+    def test_rejects_non_square_or_empty(self):
+        for J in (np.ones((2, 3)), np.ones(3), np.ones((0, 0))):
+            with pytest.raises(ValueError, match="nonempty square"):
+                lt.CovarianceProfile(J, 1.0)
 
     def test_solver_raises_on_indefinite_band(self):
         with pytest.raises(np.linalg.LinAlgError, match="2th leading minor"):

@@ -80,6 +80,10 @@ class TestMcF2:
         with pytest.raises(mo.EstimatorError):
             mo.mc_f2("band", 1, 1.0, [0.0], 1, 5)
 
+    def test_unknown_ensemble(self):
+        with pytest.raises(ValueError, match="unknown ensemble"):
+            mo.det_log_samples("goe", 3, None, [0.0], 100, 1)
+
     def test_thread_count_invariance(self):
         a = mo.mc_f2("band", 3, 2.0, [0.4, -0.1], 20_000, 77, threads=1)
         b = mo.mc_f2("band", 3, 2.0, [0.4, -0.1], 20_000, 77, threads=4)
@@ -110,7 +114,7 @@ class TestMcF2:
     def test_failed_block_cancels_queued_blocks(self, monkeypatch):
         started = []
 
-        def fake_chunk(kind, n, profile, lambdas, seed, start, count, signs, logs):
+        def fake_chunk(profile, lambdas, seed, start, count, signs, logs):
             started.append(start)
             if start == mo._CHUNK:
                 raise RuntimeError("block 1 failed")
@@ -194,11 +198,11 @@ class TestRatioVsSine:
 def test_one_sample_block_reduced_by_zhetrd(kind, n, monkeypatch):
     # a lone small sample skips the batched Householder, whose numpy overhead
     # only pays across a stack, and keeps the spectrum of the batched route
-    profile = covariance_profile(Lattice1D(n), 2.0) if kind == "band" else None
+    profile = covariance_profile(Lattice1D(n), 2.0) if kind == "band" else gue_profile(n)
     monkeypatch.setattr(mo.charpoly, "tridiagonalize_batch", None)
-    d, e = mo.tridiagonal_block(kind, n, profile, 5, 7, 1)
+    d, e = mo.tridiagonal_block(profile, 5, 7, 1)
     monkeypatch.undo()
-    H = sample_batch(kind, n, profile, RngStream(5, 7), 1)
+    H = sample_batch(profile, RngStream(5, 7), 1)
     eigs = [np.linalg.eigvalsh(np.diag(a[0]) + np.diag(b[0], 1) + np.diag(b[0], -1))
             for a, b in ((d, e), tridiagonalize_batch(H))]
     assert np.abs(eigs[0] - eigs[1]).max() <= 1e-12 * np.linalg.norm(H[0], 2)

@@ -17,10 +17,6 @@ class TestRngStream:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
-    def test_at_rekeys_index(self):
-        s = sm.RngStream(9)
-        assert s.at(3) == sm.RngStream(9, 3)
-
     def test_index_bounds(self):
         with pytest.raises(ValueError):
             sm.RngStream(1, -1)
@@ -35,24 +31,23 @@ class TestSampleRbm:
         assert np.array_equal(H1, H2)
         assert np.array_equal(H1, H1.conj().T)
         assert np.abs(H1.diagonal().imag).max() == 0.0
-        for kind in ("band", "gue"):
-            for n in (3, 11):
-                p = covariance_profile(Lattice1D(n), 2.0) if kind == "band" else None
-                H = sm.sample_batch(kind, n, p, s, 7)
-                assert H.tobytes() == sm.sample_batch(kind, n, p, s, 7).tobytes()
+        for n in (3, 11):
+            for p in (covariance_profile(Lattice1D(n), 2.0), sm.gue_profile(n)):
+                H = sm.sample_batch(p, s, 7)
+                assert H.tobytes() == sm.sample_batch(p, s, 7).tobytes()
                 assert np.array_equal(H, np.conj(np.swapaxes(H, -1, -2)))
                 assert not np.diagonal(H, axis1=-2, axis2=-1).imag.any()
 
     def test_single_site_variance(self):
         prof = covariance_profile(Lattice1D(1), 1.0)
-        vals = sm.sample_batch("band", 1, prof, sm.RngStream(5, 0), 100_000)[:, 0, 0].real
+        vals = sm.sample_batch(prof, sm.RngStream(5, 0), 100_000)[:, 0, 0].real
         assert 0.97 <= vals.var() <= 1.03
 
     def test_entry_covariances(self):
         # E|H_ij|^2 = J_ij and E[H_ij^2] = 0 within 4 standard errors
         prof = covariance_profile(Lattice1D(11), 2.0)
         n_samp = 100_000
-        H = sm.sample_batch("band", 11, prof, sm.RngStream(8, 0), n_samp)
+        H = sm.sample_batch(prof, sm.RngStream(8, 0), n_samp)
         abs2 = (np.abs(H) ** 2).mean(axis=0)
         sq = (H * H).mean(axis=0)
         for i in range(11):
@@ -68,13 +63,13 @@ class TestSampleRbm:
 
 class TestSampleGue:
     def test_single_site_variance(self):
-        vals = sm.sample_batch("gue", 1, None, sm.RngStream(3, 0), 50_000)[:, 0, 0].real
+        vals = sm.sample_batch(sm.gue_profile(1), sm.RngStream(3, 0), 50_000)[:, 0, 0].real
         assert abs(vals.var() - 1.0) <= 4 * np.sqrt(2.0 / 50_000)
 
     def test_trace_of_square(self):
         # E[Tr H^2] = sum of entry variances = n
         n, n_samp = 20, 10_000
-        H = sm.sample_batch("gue", n, None, sm.RngStream(17, 0), n_samp)
+        H = sm.sample_batch(sm.gue_profile(n), sm.RngStream(17, 0), n_samp)
         tr2 = np.einsum("bij,bji->b", H, H).real
         se = tr2.std(ddof=1) / np.sqrt(n_samp)
         assert abs(tr2.mean() - n) <= 4 * se
@@ -82,6 +77,10 @@ class TestSampleGue:
     def test_profile_rows_sum_to_one(self):
         prof = sm.gue_profile(5)
         assert np.allclose(prof.J.sum(axis=1), 1.0)
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="nonempty square"):
+            sm.sample_gue(0, sm.RngStream(1))
 
 
 class TestUpperSamples:
@@ -92,14 +91,13 @@ class TestUpperSamples:
 
     @pytest.mark.parametrize("kind,n", [("band", 9), ("band", 16), ("gue", 12)])
     def test_bitwise_equal_to_sample_batch(self, kind, n):
-        prof = covariance_profile(Lattice1D(n), 3.0) if kind == "band" else None
+        prof = covariance_profile(Lattice1D(n), 3.0) if kind == "band" else sm.gue_profile(n)
         piece = sm._DRAW_PIECE // (n * n)  # samples per real-part draw
         for count in (5, 2 * piece + 3):
-            H = sm.sample_batch(kind, n, prof, sm.RngStream(61, 4096), count)
+            H = sm.sample_batch(prof, sm.RngStream(61, 4096), count)
             buf = np.full((n, n), np.nan, dtype=complex, order="F")
             seen = 0
-            for b, a in enumerate(sm.upper_samples(kind, n, prof, sm.RngStream(61, 4096),
-                                                   count, buf)):
+            for b, a in enumerate(sm.upper_samples(prof, sm.RngStream(61, 4096), count, buf)):
                 assert a is buf
                 assert self.upper(a) == self.upper(H[b])
                 assert not np.tril(a, -1).any()
@@ -113,7 +111,7 @@ class TestUpperSamples:
         buf = np.empty((n, n), dtype=complex, order="F")
         tracemalloc.start()
         try:
-            for _ in sm.upper_samples("band", n, prof, sm.RngStream(7), count, buf):
+            for _ in sm.upper_samples(prof, sm.RngStream(7), count, buf):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -125,23 +123,10 @@ class TestUpperSamples:
         prof = covariance_profile(Lattice1D(n), 2.0)
         buf = np.empty((n, n), dtype=complex, order="F")
         s = sm.RngStream(42, 7)
-        a = next(sm.upper_samples("band", n, prof, s, 1, buf))
+        gue = sm.gue_profile(n)
+        a = next(sm.upper_samples(prof, s, 1, buf))
         assert self.upper(a) == self.upper(sm.sample_rbm(prof, s))
-        a = next(sm.upper_samples("gue", n, None, s, 1, buf))
+        a = next(sm.upper_samples(gue, s, 1, buf))
         assert self.upper(a) == self.upper(sm.sample_gue(n, s))
-        assert sm.sample_rbm(prof, s).tobytes() == sm.sample_batch("band", n, prof, s, 1)[0].tobytes()
-        assert sm.sample_gue(n, s).tobytes() == sm.sample_batch("gue", n, None, s, 1)[0].tobytes()
-
-    def test_unknown_kind(self):
-        buf = np.empty((3, 3), dtype=complex, order="F")
-        with pytest.raises(ValueError):
-            next(sm.upper_samples("goe", 3, None, sm.RngStream(1), 1, buf))
-
-    def test_profile_size_must_match_n(self):
-        prof = covariance_profile(Lattice1D(6), 2.0)
-        buf = np.empty((5, 5), dtype=complex, order="F")
-        with pytest.raises(ValueError):
-            next(sm.upper_samples("band", 5, prof, sm.RngStream(1), 1, buf))
-        with pytest.raises(ValueError):
-            sm.sample_batch("band", 5, prof, sm.RngStream(1), 1)
-
+        assert sm.sample_rbm(prof, s).tobytes() == sm.sample_batch(prof, s, 1)[0].tobytes()
+        assert sm.sample_gue(n, s).tobytes() == sm.sample_batch(gue, s, 1)[0].tobytes()
