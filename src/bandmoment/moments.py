@@ -6,11 +6,14 @@ For an ensemble sample H the quantity of interest is
 
 normalized by the geometric mean D2 = sqrt(F2(l1,l1)) sqrt(F2(l2,l2)) and
 compared against the sine-kernel curve in the bulk scaling limit.  Per-sample
-determinants are kept in signed-log form.  `mc_f2` estimates single moments
-by max-shifted sums over 4096-sample blocks, which stay valid beyond double
-range; `moment_scan` and `ratio_vs_sine` estimate the normalized moment with
-numerator and both denominator factors from one sample set, with errors by
-leave-one-block-out jackknife over 50 fixed blocks.
+determinants are kept in signed-log form: an int8 sign and a float64 log
+magnitude per sample and lambda, 9 bytes.  A pair (l_a, l_b) is reduced in
+its own float64 vector of log|det_a det_b|, which the reduction overwrites
+(`_reduce_signed_log` consumes its `logp`).  `mc_f2` estimates single
+moments by max-shifted sums over 4096-sample blocks, which stay valid beyond
+double range; `moment_scan` and `ratio_vs_sine` estimate the normalized
+moment with numerator and both denominator factors from one sample set, with
+errors by leave-one-block-out jackknife over 50 fixed blocks.
 
 An exact Isserlis-pairing expansion (dimension <= 3) provides the independent
 oracle the Monte Carlo path is validated against.
@@ -161,8 +164,9 @@ def wick_exact_f2(n: int, lambda1: float, lambda2: float,
 class DetLogSamples:
     """Per-sample signed-log determinants at each requested lambda.
 
-    signs/logmags have shape (samples, len(lambdas)); rejected rows (non-finite
-    recurrence output) are removed but counted.
+    signs (int8, in {-1, 0, +1}) and logmags (float64, -inf where the
+    determinant is exactly zero) have shape (samples, len(lambdas)); rejected
+    rows (a NaN or +inf log) are removed but counted.
     """
 
     lambdas: np.ndarray
@@ -226,7 +230,9 @@ def _eval_chunk(profile, lambdas, seed, start, count, signs_out, logs_out):
     """Fill one fixed block of the output arrays; pure function of its arguments."""
     d, e = tridiagonal_block(profile, seed, start, count)
     s, lg = charpoly.char_det_many(d, e ** 2, lambdas)
-    signs_out[start:start + count] = s
+    # a NaN sign has a NaN log, so the row it lands on is rejected
+    with np.errstate(invalid="ignore"):
+        np.copyto(signs_out[start:start + count], s, casting="unsafe")
     logs_out[start:start + count] = lg
 
 
@@ -255,7 +261,7 @@ def det_log_samples(ensemble: str, n: int, W: float | None, lambdas,
     else:
         raise ValueError(f"unknown ensemble {ensemble!r}")
 
-    signs = np.empty((samples, len(lambdas)))
+    signs = np.empty((samples, len(lambdas)), dtype=np.int8)
     logs = np.empty((samples, len(lambdas)))
     jobs = [(start, min(_CHUNK, samples - start)) for start in range(0, samples, _CHUNK)]
 
@@ -268,8 +274,9 @@ def det_log_samples(ensemble: str, n: int, W: float | None, lambdas,
 
     _run_ordered(chunk, jobs, threads, report)
 
-    # a row is usable if every entry is either finite or an exact-zero marker (-inf)
-    ok = ~np.any(np.isnan(logs), axis=1) & ~np.any(np.isposinf(logs), axis=1)
+    # a row is usable if every entry is either finite or an exact-zero marker (-inf);
+    # a NaN or +inf log makes the row max fail the comparison
+    ok = logs.max(axis=1) < np.inf
     rejected = int(samples - ok.sum())
     if rejected:
         signs = signs[ok]
@@ -279,12 +286,18 @@ def det_log_samples(ensemble: str, n: int, W: float | None, lambdas,
     return DetLogSamples(lambdas, signs, logs, rejected)
 
 
-def _pair_products(dets: DetLogSamples, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    s = dets.signs[:, a] * dets.signs[:, b]
+def _pair_logs(dets: DetLogSamples, a: int, b: int, zero: np.ndarray) -> np.ndarray:
+    """log|det_a det_b| per sample, -inf where `zero`, in a fresh float64 vector."""
     with np.errstate(invalid="ignore"):
         logp = dets.logmags[:, a] + dets.logmags[:, b]
-    logp = np.where(s == 0, -np.inf, logp)
-    return s, logp
+    np.copyto(logp, -np.inf, where=zero)
+    return logp
+
+
+def _pair_products(dets: DetLogSamples, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample sign (int8) and log magnitude of det_a det_b."""
+    s = dets.signs[:, a] * dets.signs[:, b]
+    return s, _pair_logs(dets, a, b, s == 0)
 
 
 def _block_edges(n: int, blocks: int) -> np.ndarray:
@@ -295,7 +308,8 @@ def _reduce_signed_log(s: np.ndarray, logp: np.ndarray, rejected: int) -> Moment
     """Mean and standard error of s*exp(logp) without leaving the log domain.
 
     Chunked accumulation: one max-shift per 4096-sample block, blocks combined
-    by max-shifted signed-log addition in index order.
+    by max-shifted signed-log addition in index order.  The variance pass
+    works in `logp` itself, which is overwritten.
     """
     n = len(s)
     # global shift for the variance pass
@@ -323,9 +337,11 @@ def _reduce_signed_log(s: np.ndarray, logp: np.ndarray, rejected: int) -> Moment
             sign, log_abs = (1 if total > 0 else -1), m + math.log(abs(total))
     log_mean = log_abs - math.log(n)
 
-    u = s * np.exp(logp - M)
+    u = np.exp(np.subtract(logp, M, out=logp), out=logp)
+    u *= s
     u_mean = sign * math.exp(log_mean - M)   # 0.0 when sign == 0 (log_mean is -inf)
-    var = float(np.sum((u - u_mean) ** 2)) / (n - 1)
+    u -= u_mean
+    var = float(np.sum(np.square(u, out=u))) / (n - 1)
     se_shifted = math.sqrt(var / n)
     log_se = M + math.log(se_shifted) if se_shifted > 0 else -math.inf
 
@@ -355,22 +371,23 @@ def mc_f2(ensemble: str, n: int, W: float | None, lambda_list,
     L = len(dets.lambdas)
     for a in range(L):
         for b in range(a, L):
-            s, logp = _pair_products(dets, a, b)
-            out[(a, b)] = _reduce_signed_log(s, logp, dets.rejected)
+            # one pair's vectors at a time: they are freed before the next pair's are made
+            out[(a, b)] = _reduce_signed_log(*_pair_products(dets, a, b), dets.rejected)
     return out
 
 
 def _jackknife_ratio(dets: DetLogSamples, a: int, b: int) -> tuple[float, float]:
     """Shared-sample ratio F2(la,lb) / sqrt(F2(la,la) F2(lb,lb)) with jackknife stderr."""
     s_ab, l_ab = _pair_products(dets, a, b)
-    _, l_aa = _pair_products(dets, a, a)
-    _, l_bb = _pair_products(dets, b, b)
+    l_aa = _pair_logs(dets, a, a, dets.signs[:, a] == 0)
+    l_bb = _pair_logs(dets, b, b, dets.signs[:, b] == 0)
     m_ab, m_aa, m_bb = (float(np.max(x)) for x in (l_ab, l_aa, l_bb))
     if math.isinf(m_aa) or math.isinf(m_bb):
         raise EstimatorError("degenerate diagonal moments (all determinants zero)")
-    u_ab = s_ab * np.exp(l_ab - m_ab)
-    u_aa = np.exp(l_aa - m_aa)
-    u_bb = np.exp(l_bb - m_bb)
+    u_ab = np.exp(np.subtract(l_ab, m_ab, out=l_ab), out=l_ab)
+    u_ab *= s_ab
+    u_aa = np.exp(np.subtract(l_aa, m_aa, out=l_aa), out=l_aa)
+    u_bb = np.exp(np.subtract(l_bb, m_bb, out=l_bb), out=l_bb)
     pref = math.exp(m_ab - 0.5 * (m_aa + m_bb))
     ratio = pref * u_ab.mean() / math.sqrt(u_aa.mean() * u_bb.mean())
 

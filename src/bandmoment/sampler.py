@@ -17,6 +17,7 @@ drops their lower triangles; `upper_samples` keeps only the entries it uses.
 from __future__ import annotations
 
 import functools
+import weakref
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -67,15 +68,28 @@ def _upper_index(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate([i * n + j, d]), 2 * np.concatenate([i + j * n, d])
 
 
+# keyed weakly by the (identity-hashed) profile: an entry goes with its profile
+_entries_cache = weakref.WeakKeyDictionary()
+
+
 def _upper_entries(profile: CovarianceProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The `_upper_index` of the drawn entries and the s.d. of each: that of the
     real diagonal entry on the diagonal, and that of the real and of the
-    imaginary part of each entry above it."""
-    n = profile.size
-    c_index, f_index = _upper_index(n)
-    sd = np.take(profile.J, c_index)
-    sd[:-n] /= 2.0
-    return c_index, f_index, np.sqrt(sd, out=sd)
+    imaginary part of each entry above it.
+
+    Cached per profile for as long as the profile lives; the s.d. array is
+    read-only.
+    """
+    entries = _entries_cache.get(profile)
+    if entries is None:
+        n = profile.size
+        c_index, f_index = _upper_index(n)
+        sd = np.take(profile.J, c_index)
+        sd[:-n] /= 2.0
+        np.sqrt(sd, out=sd)
+        sd.flags.writeable = False
+        entries = _entries_cache.setdefault(profile, (c_index, f_index, sd))
+    return entries
 
 
 def sample_rbm(profile: CovarianceProfile, stream: RngStream) -> np.ndarray:

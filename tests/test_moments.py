@@ -3,6 +3,7 @@
 import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -146,6 +147,125 @@ class TestMcF2:
         mo._run_ordered(fn, range(300), threads, consume)
         assert consumed == list(range(300))
         assert ahead <= 2 * threads
+
+
+class TestDetLogSamples:
+    # per-row (sign, log) at two lambdas; NaN and +inf logs reject their row
+    SIGNS = [[1, -1], [np.nan, 1], [1, 1], [0, 1], [1, np.nan], [-1, 1], [1, 1]]
+    LOGS = [[0.5, 1.0], [np.nan, 2.0], [np.inf, 0.0], [-np.inf, 3.0], [1.0, np.nan],
+            [2.0, -1.0], [0.0, np.inf]]
+
+    @staticmethod
+    def stub(monkeypatch, signs, logs):
+        def fake(d, e2, lams):
+            assert d.shape[0] == len(signs) and len(lams) == 2
+            return np.array(signs, dtype=float), np.array(logs, dtype=float)
+        monkeypatch.setattr(mo.charpoly, "char_det_many", fake)
+
+    def test_bad_rows_removed_and_counted(self, monkeypatch):
+        self.stub(monkeypatch, self.SIGNS, self.LOGS)
+        dets = mo.det_log_samples("band", 3, 2.0, [0.0, 0.5], len(self.SIGNS), 1)
+        assert dets.rejected == 4
+        assert dets.signs.dtype == np.int8
+        assert dets.signs.tolist() == [[1, -1], [0, 1], [-1, 1]]
+        # a -inf log (an exact zero determinant) keeps its row
+        assert dets.logmags.tolist() == [[0.5, 1.0], [-np.inf, 3.0], [2.0, -1.0]]
+
+    def test_all_rows_bad(self, monkeypatch):
+        bad = [1, 2, 4, 6]
+        self.stub(monkeypatch, [self.SIGNS[i] for i in bad], [self.LOGS[i] for i in bad])
+        with pytest.raises(mo.EstimatorError, match="all samples rejected"):
+            mo.det_log_samples("band", 3, 2.0, [0.0, 0.5], len(bad), 1)
+
+
+def crafted_dets(n=10_000, seed=3) -> mo.DetLogSamples:
+    """Logs near +700, near -700 and near 0, and logs <= 0 whose max is 0
+    (so the stderr's log carries no shift); mixed signs, zero determinants
+    (sign 0, log -inf) in every column, and in the third column some sign-0
+    entries whose log is finite, which only the zero mask sends to -inf."""
+    rng = np.random.default_rng(seed)
+    logs = np.column_stack([700 + rng.normal(size=n), -700 + rng.normal(size=n),
+                            5 * rng.normal(size=n), -np.abs(2 * rng.normal(size=n))])
+    signs = rng.choice(np.array([-1, 1], dtype=np.int8), size=logs.shape)
+    zero = rng.random(logs.shape) < 0.05
+    signs[zero] = 0
+    logs[zero] = -np.inf
+    signs[rng.random(n) < 0.05, 2] = 0
+    signs[0, 3], logs[0, 3] = 1, 0.0
+    return mo.DetLogSamples(np.zeros(4), signs, logs, 0)
+
+
+def out_of_place_pair(dets, a, b):
+    s = dets.signs[:, a].astype(float) * dets.signs[:, b].astype(float)
+    with np.errstate(invalid="ignore"):
+        logp = dets.logmags[:, a] + dets.logmags[:, b]
+    return s, np.where(s == 0, -np.inf, logp)
+
+
+def hexes(*values):
+    return [float(v).hex() for v in values]
+
+
+class TestInPlaceReductions:
+    # the in-place reductions keep every bit of the out-of-place formulas they replace
+    PAIRS = [(0, 0), (1, 1), (2, 2), (3, 3), (0, 1), (0, 2), (1, 2), (2, 0), (2, 3)]
+
+    @pytest.mark.parametrize("a,b", PAIRS)
+    def test_reduce_signed_log(self, a, b):
+        dets = crafted_dets()
+        s, logp = mo._pair_products(dets, a, b)
+        sf, lp = out_of_place_pair(dets, a, b)
+        assert s.dtype == np.int8 and s.tolist() == sf.tolist()
+        assert logp.tobytes() == lp.tobytes()
+        est = mo._reduce_signed_log(s, logp, 5)
+        # the blockwise mean with the float64 signs it used to take
+        ref = mo._reduce_signed_log(sf, lp.copy(), 5)
+        assert est.sign == ref.sign
+        assert hexes(est.value, est.log_abs_value) == hexes(ref.value, ref.log_abs_value)
+        n, M = len(lp), float(np.max(lp))
+        u = sf * np.exp(lp - M)
+        u_mean = est.sign * math.exp(est.log_abs_value - M)
+        var = float(np.sum((u - u_mean) ** 2)) / (n - 1)
+        log_se = M + math.log(math.sqrt(var / n))
+        assert hexes(est.log_abs_stderr) == hexes(log_se)
+        stderr = math.exp(log_se) if log_se < 709.0 else math.inf
+        assert hexes(est.stderr) == hexes(stderr)
+        assert math.isfinite(est.log_abs_value) and est.samples == n and est.rejected == 5
+
+    @pytest.mark.parametrize("a,b", [p for p in PAIRS if p[0] != p[1]])
+    def test_jackknife_ratio(self, a, b):
+        dets = crafted_dets()
+        (s_ab, l_ab), (_, l_aa), (_, l_bb) = (out_of_place_pair(dets, i, j)
+                                              for i, j in ((a, b), (a, a), (b, b)))
+        m_ab, m_aa, m_bb = (float(np.max(x)) for x in (l_ab, l_aa, l_bb))
+        u_ab = s_ab * np.exp(l_ab - m_ab)
+        u_aa = np.exp(l_aa - m_aa)
+        u_bb = np.exp(l_bb - m_bb)
+        pref = math.exp(m_ab - 0.5 * (m_aa + m_bb))
+        ratio = pref * u_ab.mean() / math.sqrt(u_aa.mean() * u_bb.mean())
+        edges = mo._block_edges(len(u_ab), mo._JACKKNIFE_BLOCKS)
+        rest = len(u_ab) - np.diff(edges)
+        loo = [(u.sum() - np.add.reduceat(u, edges[:-1])) / rest for u in (u_ab, u_aa, u_bb)]
+        theta = pref * loo[0] / np.sqrt(loo[1] * loo[2])
+        B = len(theta)
+        se = math.sqrt((B - 1) / B * float(np.sum((theta - theta.mean()) ** 2)))
+        assert hexes(*mo._jackknife_ratio(dets, a, b)) == hexes(ratio, se)
+        assert se > 0
+
+
+def test_million_sample_oracle_memory():
+    # int8 signs and float64 logs (9 bytes per sample and lambda) plus one
+    # pair's float64 vector at a time: 26.7 MiB here, 69.6 MiB with a float64
+    # sign table and out-of-place reductions
+    args = ("band", 3, 2.0, [0.4, -0.1])
+    mo.mc_f2(*args, 1000, 12)  # caches and lazy imports outside the trace
+    tracemalloc.start()
+    try:
+        mo.mc_f2(*args, 1_000_000, 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 32 * 2**20
 
 
 class TestRatioVsSine:

@@ -1,5 +1,8 @@
 """Ensemble sampling: determinism, Hermiticity, entry covariances, block memory."""
 
+import gc
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -81,6 +84,50 @@ class TestSampleGue:
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="nonempty square"):
             sm.sample_gue(0, sm.RngStream(1))
+
+
+class TestUpperEntries:
+    def test_cached_per_profile_and_read_only(self):
+        prof = covariance_profile(Lattice1D(6), 2.0)
+        first = sm._upper_entries(prof)
+        second = sm._upper_entries(prof)
+        assert all(a is b for a, b in zip(first, second))
+        assert not first[2].flags.writeable
+        other = sm._upper_entries(covariance_profile(Lattice1D(6), 2.0))
+        assert other[2] is not first[2] and np.array_equal(other[2], first[2])
+
+    def test_threads_share_one_entry(self):
+        # threads that miss the cache at once still all get the entry that is kept
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(20):
+                prof = covariance_profile(Lattice1D(40), 5.0)
+                barrier, got = threading.Barrier(8), []
+
+                def work():
+                    barrier.wait(timeout=10)
+                    got.append(sm._upper_entries(prof)[2])
+
+                workers = [threading.Thread(target=work) for _ in range(8)]
+                for t in workers:
+                    t.start()
+                for t in workers:
+                    t.join(timeout=10)
+                assert not any(t.is_alive() for t in workers)
+                assert len(got) == 8 and all(sd is sm._upper_entries(prof)[2] for sd in got)
+        finally:
+            sys.setswitchinterval(old)
+
+    def test_entry_goes_with_its_profile(self):
+        gc.collect()  # profiles of earlier tests go first
+        before = len(sm._entries_cache)
+        prof = sm.gue_profile(7)
+        sm._upper_entries(prof)
+        assert prof in sm._entries_cache and len(sm._entries_cache) == before + 1
+        del prof
+        gc.collect()
+        assert len(sm._entries_cache) == before
 
 
 class TestUpperSamples:
