@@ -8,7 +8,6 @@ from .dualrep import AccuracyError, DualMcEstimate, QuadratureGrid, dual_f2_n1, 
 from .lattice import (
     CovarianceProfile,
     Lattice1D,
-    TridiagonalSymmetric,
     charpoly_neumann,
     charpoly_neumann_closed,
     charpoly_pinned,
@@ -24,10 +23,9 @@ from .moments import (
     RatioResult,
     mc_f2,
     moment_scan,
-    ratio_vs_sine,
     wick_exact_f2,
 )
-from .sampler import RngStream, gue_profile, sample_gue, sample_rbm
+from .sampler import RngStream, gue_profile, sample_rbm
 from .saddle import (
     SaddleData,
     SpectralParams,
@@ -39,7 +37,7 @@ from .saddle import (
     semicircle_density,
     sine_kernel,
 )
-from .unitary import haar_u2, haar_u2_batch, hciz_2x2, v12_moment
+from .unitary import haar_u2_batch, hciz_2x2, v12_moment
 
 __version__ = "0.1.0"
 
@@ -55,7 +53,6 @@ __all__ = [
     "RngStream",
     "SaddleData",
     "SpectralParams",
-    "TridiagonalSymmetric",
     "charpoly_neumann",
     "charpoly_neumann_closed",
     "charpoly_pinned",
@@ -65,18 +62,15 @@ __all__ = [
     "dual_f2_n2_mc",
     "green_diag",
     "gue_profile",
-    "haar_u2",
     "haar_u2_batch",
     "hciz_2x2",
     "log_gaussian_partition",
     "mc_f2",
     "moment_scan",
     "neumann_laplacian",
-    "ratio_vs_sine",
     "saddle_data",
     "saddle_exponent",
     "saddle_exponent_excess",
-    "sample_gue",
     "sample_rbm",
     "scaled_lambdas",
     "semicircle_cdf",

@@ -2,9 +2,10 @@
 
 Determinants det(lambda - H) scale exponentially in the matrix dimension, so
 they are carried in signed-log form.  A Hermitian sample is reduced once to a
-real symmetric tridiagonal matrix (unitary similarity, spectrum preserved);
-each determinant evaluation is then a three-term recurrence, and eigenvalue
-counting is a Sturm sign count on the same recurrence.
+real symmetric tridiagonal matrix (unitary similarity, spectrum preserved),
+held as its diagonal and off-diagonal arrays (d, e); each determinant
+evaluation is then a three-term recurrence, and eigenvalue counting is a
+Sturm sign count on the same recurrence.
 
 The reduction is LAPACK's, called through ctypes (`_lapack`): the one-stage
 Householder `zhetrd` below order `_TWO_STAGE_N`, and from there the two-stage
@@ -23,7 +24,6 @@ import weakref
 import numpy as np
 
 from . import _lapack
-from .lattice import TridiagonalSymmetric
 
 # rescaling window for the determinant recurrence
 _RESCALE_HI = 1e150
@@ -89,8 +89,8 @@ class _Reduction:
         self._a = lambda: None   # a weak reference to the array `_args` points at
         self._set_local = _lapack.blas_threads_local()
 
-    def __call__(self, a: np.ndarray) -> TridiagonalSymmetric:
-        """Reduce `a` in place; its tridiagonal form, off-diagonals made nonnegative.
+    def __call__(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Reduce `a` in place; its tridiagonal form (d, e) in fresh arrays, e made nonnegative.
 
         `a` must be an (n, n) Fortran-ordered, writeable complex128 array;
         only its diagonal and upper triangle are read.  The BLAS of the
@@ -112,7 +112,7 @@ class _Reduction:
                 set_local(prev)
         if self._ints[3] != 0:  # pragma: no cover - the reduction cannot fail on finite input
             raise RuntimeError(f"Hermitian tridiagonal reduction failed with info={self._ints[3]}")
-        return TridiagonalSymmetric._unchecked(self.d.copy(), np.abs(self.e))
+        return self.d.copy(), np.abs(self.e)
 
 
 _per_thread = threading.local()
@@ -130,13 +130,14 @@ def _thread_reduction(n: int) -> _Reduction:
     return reduction
 
 
-def tridiagonalize(H: np.ndarray, overwrite_a: bool = False) -> TridiagonalSymmetric:
+def tridiagonalize(H: np.ndarray, overwrite_a: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Householder reduction of a Hermitian matrix to real symmetric tridiagonal form.
 
-    The result is unitarily similar to H (same characteristic polynomial);
-    off-diagonals are normalized to be nonnegative, which leaves the
-    characteristic polynomial unchanged (diagonal +-1 similarity).  Only the
-    diagonal and upper triangle of H are read.  With `overwrite_a`, a
+    Returns fresh arrays d (length n) and e (length n - 1), the layout
+    `tridiagonalize_batch` returns for a stack, of a matrix unitarily similar
+    to H (same characteristic polynomial); e is made nonnegative, which leaves
+    the characteristic polynomial unchanged (diagonal +-1 similarity).  Only
+    the diagonal and upper triangle of H are read.  With `overwrite_a`, a
     Fortran-ordered complex128 H is reduced in place (its contents are
     destroyed) instead of being copied first.  The reduction is LAPACK's,
     through the calling thread's `_Reduction`, so a loop over samples of one
@@ -148,7 +149,7 @@ def tridiagonalize(H: np.ndarray, overwrite_a: bool = False) -> TridiagonalSymme
         raise ValueError(f"expected a nonempty square matrix, got shape {shape}")
     n = shape[0]
     if n == 1:
-        return TridiagonalSymmetric(np.array([H[0, 0].real]), np.zeros(0))
+        return np.array([H[0, 0].real]), np.zeros(0)
     flags = H.flags
     in_place = (overwrite_a and H.dtype == _COMPLEX and flags.f_contiguous
                 and flags.writeable and flags.aligned)

@@ -1,10 +1,11 @@
 """1D Neumann lattice toolkit.
 
 Builds the second-difference operator on a finite chain with free (Neumann)
-boundary conditions, the covariance profile J = (W^2 K + 1)^-1 that drives the
-band-matrix entry variances, and the family of tridiagonal chain determinants
-(recurrences, closed forms, Green's-function diagonal, Gaussian partition
-function) used throughout the package.
+boundary conditions as (d, e) arrays, the covariance profile
+J = (W^2 K + 1)^-1 that drives the band-matrix entry variances, and the
+family of tridiagonal chain determinants (recurrences, closed forms,
+Green's-function diagonal, Gaussian partition function) used throughout the
+package.
 """
 
 from __future__ import annotations
@@ -30,49 +31,10 @@ class Lattice1D:
 
 
 @dataclass(frozen=True, eq=False)
-class TridiagonalSymmetric:
-    """Real symmetric tridiagonal matrix stored as diagonal / off-diagonal arrays."""
-
-    d: np.ndarray
-    e: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.d, dtype=float)
-        e = np.asarray(self.e, dtype=float)
-        if d.ndim != 1 or e.ndim != 1 or len(e) != max(len(d) - 1, 0):
-            raise ValueError("inconsistent tridiagonal array lengths")
-        object.__setattr__(self, "d", d)
-        object.__setattr__(self, "e", e)
-
-    @classmethod
-    def _unchecked(cls, d: np.ndarray, e: np.ndarray) -> "TridiagonalSymmetric":
-        """Wrap 1-d float64 arrays of lengths n and n - 1 as they are, skipping the checks.
-
-        For a caller that built the arrays itself and makes one per sample,
-        where the checks would cost as much as a small reduction's LAPACK call.
-        """
-        t = object.__new__(cls)
-        object.__setattr__(t, "d", d)
-        object.__setattr__(t, "e", e)
-        return t
-
-    @property
-    def size(self) -> int:
-        return len(self.d)
-
-    def to_dense(self) -> np.ndarray:
-        m = np.diag(self.d)
-        if len(self.e):
-            m += np.diag(self.e, 1) + np.diag(self.e, -1)
-        return m
-
-
-@dataclass(frozen=True, eq=False)
 class CovarianceProfile:
-    """Entrywise variance profile J (symmetric, rows summing to 1) plus bandwidth W."""
+    """Entrywise variance profile J (symmetric, rows summing to 1)."""
 
     J: np.ndarray
-    W: float
 
     def __post_init__(self):
         shape = np.shape(self.J)
@@ -84,20 +46,20 @@ class CovarianceProfile:
         return self.J.shape[0]
 
 
-def neumann_laplacian(lat: Lattice1D) -> TridiagonalSymmetric:
+def neumann_laplacian(lat: Lattice1D) -> tuple[np.ndarray, np.ndarray]:
     """Second-difference operator (the negated Laplacian) with free boundaries.
 
+    Returned as its diagonal d (length n) and off-diagonal e (length n - 1).
     Interior diagonal entries are 2, boundary entries 1, off-diagonals -1, so
     every row sums to zero and the constant vector spans the kernel.  The
     single-site chain is the 1x1 zero matrix.
     """
     n = lat.size
     if n == 1:
-        return TridiagonalSymmetric(np.zeros(1), np.zeros(0))
+        return np.zeros(1), np.zeros(0)
     d = np.full(n, 2.0)
     d[0] = d[-1] = 1.0
-    e = np.full(n - 1, -1.0)
-    return TridiagonalSymmetric(d, e)
+    return d, np.full(n - 1, -1.0)
 
 
 def covariance_profile(lat: Lattice1D, W: float) -> CovarianceProfile:
@@ -113,20 +75,20 @@ def covariance_profile(lat: Lattice1D, W: float) -> CovarianceProfile:
     n = lat.size
     if n == 1:
         # single site: the chain operator is 0, so J = (0 + 1)^-1 = 1 exactly
-        return CovarianceProfile(np.ones((1, 1)), float(W))
-    lap = neumann_laplacian(lat)
+        return CovarianceProfile(np.ones((1, 1)))
+    d, e = neumann_laplacian(lat)
     w2 = float(W) ** 2
-    diag, off = w2 * lap.d + 1.0, w2 * lap.e
+    diag, off = w2 * d + 1.0, w2 * e
     rhs = np.eye(n)
     try:
         J = _solve_spd_tridiagonal(diag, off, rhs)
         # residual correction: one refinement pass removes the O(kappa*eps) drift
-        R = rhs - _mul_shifted_tridiag(lap, w2, J)
+        R = rhs - _mul_shifted_tridiag(d, e, w2, J)
         J = J + _solve_spd_tridiagonal(diag, off, R)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - cannot occur for SPD input
         raise RuntimeError(f"banded solver breakdown for W={W}, size={n}") from exc
     J = 0.5 * (J + J.T)
-    return CovarianceProfile(J, float(W))
+    return CovarianceProfile(J)
 
 
 def _solve_spd_tridiagonal(d: np.ndarray, e: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -151,12 +113,13 @@ def _solve_spd_tridiagonal(d: np.ndarray, e: np.ndarray, B: np.ndarray) -> np.nd
     return X
 
 
-def _mul_shifted_tridiag(t: TridiagonalSymmetric, scale: float, X: np.ndarray) -> np.ndarray:
-    """(scale*T + I) @ X without forming the dense matrix."""
-    Y = (scale * t.d + 1.0)[:, None] * X
-    if len(t.e):
-        Y[:-1] += (scale * t.e)[:, None] * X[1:]
-        Y[1:] += (scale * t.e)[:, None] * X[:-1]
+def _mul_shifted_tridiag(d: np.ndarray, e: np.ndarray, scale: float,
+                         X: np.ndarray) -> np.ndarray:
+    """(scale*T + I) @ X without forming the dense matrix, T with diagonal d and off-diagonal e."""
+    Y = (scale * d + 1.0)[:, None] * X
+    if len(e):
+        Y[:-1] += (scale * e)[:, None] * X[1:]
+        Y[1:] += (scale * e)[:, None] * X[:-1]
     return Y
 
 

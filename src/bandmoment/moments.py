@@ -11,8 +11,8 @@ magnitude per sample and lambda, 9 bytes.  A pair (l_a, l_b) is reduced in
 its own float64 vector of log|det_a det_b|, which the reduction overwrites
 (`_reduce_signed_log` consumes its `logp`).  `mc_f2` estimates single
 moments by max-shifted sums over 4096-sample blocks, which stay valid beyond
-double range; `moment_scan` and `ratio_vs_sine` estimate the normalized
-moment with numerator and both denominator factors from one sample set, with
+double range; `moment_scan` estimates the normalized moment at each pair of
+a grid, with numerator and both denominator factors from one sample set, and
 errors by leave-one-block-out jackknife over 50 fixed blocks.
 
 An exact Isserlis-pairing expansion (dimension <= 3) provides the independent
@@ -192,9 +192,7 @@ def tridiagonal_block(profile: CovarianceProfile, seed: int, start: int,
     e = np.empty((count, n - 1))
     buf = np.empty((n, n), dtype=complex, order="F")
     for b, H in enumerate(sampler.upper_samples(profile, stream, count, buf)):
-        t = charpoly.tridiagonalize(H, overwrite_a=True)
-        d[b] = t.d
-        e[b] = t.e
+        d[b], e[b] = charpoly.tridiagonalize(H, overwrite_a=True)
     return d, e
 
 
@@ -409,11 +407,19 @@ def _jackknife_ratio(dets: DetLogSamples, a: int, b: int) -> tuple[float, float]
     return float(ratio), se
 
 
-def _ratios(ensemble: str, n: int, W: float | None, plist, samples: int, seed: int,
-            threads: int, progress) -> list[RatioResult]:
-    """Ratio-vs-sine results for the scaled pairs `plist`, all from one sample set.
+def moment_scan(ensemble: str, n: int, W: float | None, lambda0: float,
+                xi_pairs, samples: int, seed: int, threads: int = 1,
+                progress=None) -> list[RatioResult]:
+    """Normalized moment F2/D2 with its sine-kernel reference for each xi pair of a grid.
 
-    A ratio reads only its own two lambda columns."""
+    Each pair is scaled about `lambda0` (`scaled_lambdas`), and all pairs share
+    one sample set: the union of their lambdas is evaluated per sample, so the
+    dominant tridiagonalization cost is amortized across the whole scan.  The
+    numerator and both normalization factors of a ratio come from the same
+    samples, so their correlated fluctuations largely cancel; a ratio reads
+    only its own two lambda columns.
+    """
+    plist = [scaled_lambdas(lambda0, x1, x2, n) for (x1, x2) in xi_pairs]
     lam_index: dict[float, int] = {}
     for p in plist:
         for lam in (p.lambda1, p.lambda2):
@@ -431,25 +437,3 @@ def _ratios(ensemble: str, n: int, W: float | None, plist, samples: int, seed: i
         results.append(RatioResult(p, ratio, se, sine_ref, ratio - sine_ref,
                                    dets.signs.shape[0], dets.rejected))
     return results
-
-
-def ratio_vs_sine(params: SpectralParams, ensemble: str, W: float | None,
-                  samples: int, seed: int, threads: int = 1) -> RatioResult:
-    """Normalized moment F2/D2 at the bulk-scaled pair, with sine-kernel reference.
-
-    The numerator and both normalization factors are estimated from the same
-    sample set, so their correlated fluctuations largely cancel in the ratio.
-    """
-    return _ratios(ensemble, params.n_dim, W, [params], samples, seed, threads, None)[0]
-
-
-def moment_scan(ensemble: str, n: int, W: float | None, lambda0: float,
-                xi_pairs, samples: int, seed: int, threads: int = 1,
-                progress=None) -> list[RatioResult]:
-    """Ratio-vs-sine results for a grid of xi pairs sharing one sample set.
-
-    The union of scaled lambdas over the grid is evaluated per sample, so the
-    dominant tridiagonalization cost is amortized across the whole scan.
-    """
-    plist = [scaled_lambdas(lambda0, x1, x2, n) for (x1, x2) in xi_pairs]
-    return _ratios(ensemble, n, W, plist, samples, seed, threads, progress)

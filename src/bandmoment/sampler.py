@@ -97,14 +97,12 @@ def sample_rbm(profile: CovarianceProfile, stream: RngStream) -> np.ndarray:
     return sample_batch(profile, stream, 1)[0]
 
 
-def sample_gue(n: int, stream: RngStream) -> np.ndarray:
-    """One sample of `gue_profile(n)`: the limiting spectrum fills [-2, 2]."""
-    return sample_batch(gue_profile(n), stream, 1)[0]
-
-
 def gue_profile(n: int) -> CovarianceProfile:
-    """GUE's flat variance profile J_ij = 1/n; rows sum to one like the band profile."""
-    return CovarianceProfile(np.ones((n, n)) / n, float(n))
+    """GUE's flat variance profile J_ij = 1/n; rows sum to one like the band profile.
+
+    The spectrum of a sample fills [-2, 2] as n grows.
+    """
+    return CovarianceProfile(np.ones((n, n)) / n)
 
 
 def sample_batch(profile: CovarianceProfile, stream: RngStream, count: int) -> np.ndarray:

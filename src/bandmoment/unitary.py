@@ -21,11 +21,6 @@ _SERIES_RANGE = 8.0
 _MAX_ORDER = 30
 
 
-def haar_u2(stream: RngStream) -> np.ndarray:
-    """One Haar-distributed 2x2 unitary (Ginibre QR with positive-diagonal R)."""
-    return haar_u2_batch(stream, 1)[0]
-
-
 def haar_u2_batch(stream: RngStream, count: int) -> np.ndarray:
     """Stack of `count` Haar 2x2 unitaries from a single substream.
 

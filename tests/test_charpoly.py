@@ -10,7 +10,6 @@ import scipy.linalg
 
 from bandmoment import _lapack
 from bandmoment import charpoly as cp
-from bandmoment.lattice import TridiagonalSymmetric
 
 
 def random_hermitian(n, seed):
@@ -19,12 +18,17 @@ def random_hermitian(n, seed):
     return (A + A.conj().T) / 2
 
 
+def bits(t):
+    """The bytes of a tridiagonal form (d, e), for bitwise comparison."""
+    return tuple(a.tobytes() for a in t)
+
+
 def assert_matches_f2py_zhetrd(n, seed):
     """The ctypes zhetrd gives the bits of scipy's f2py zhetrd with the
     workspace scipy's own query asks for (from n = 32 on, a smaller one
     changes the blocking and the bits)."""
     H = np.asfortranarray(random_hermitian(n, seed))
-    T = cp.tridiagonalize(H)
+    ours = cp.tridiagonalize(H)
     work, info = scipy.linalg.lapack.zhetrd_lwork(n)
     assert info == 0
     set_local = _lapack.blas_threads_local()
@@ -35,53 +39,52 @@ def assert_matches_f2py_zhetrd(n, seed):
         if prev is not None:
             set_local(prev)
     assert info == 0
-    assert T.d.tobytes() == d.tobytes()
-    assert T.e.tobytes() == np.abs(e).tobytes()
+    assert bits(ours) == bits((d, np.abs(e)))
 
 
-def bisection_eigenvalues(T):
+def bisection_eigenvalues(d, e):
     """Independent oracle: LAPACK bisection on the tridiagonal arrays."""
-    if T.size == 1:
-        return np.array([T.d[0]])
-    return np.sort(scipy.linalg.eigvalsh_tridiagonal(T.d, T.e, lapack_driver="stebz"))
+    if len(d) == 1:
+        return np.array([d[0]])
+    return np.sort(scipy.linalg.eigvalsh_tridiagonal(d, e, lapack_driver="stebz"))
 
 
-def det_one(T, lam):
+def det_one(d, e, lam):
     """(sign, log_mag) of det(lam - T) from the batch recurrence on a one-row stack."""
-    sign, log_mag = cp.char_det_many(T.d[None, :], T.e[None, :] ** 2, [lam])
+    sign, log_mag = cp.char_det_many(d[None, :], e[None, :] ** 2, [lam])
     return int(sign[0, 0]), float(log_mag[0, 0])
 
 
-def count_one(T, lam):
+def count_one(d, e, lam):
     """Eigenvalues of T strictly below lam, from the batch Sturm count on a one-row stack."""
-    return int(cp.count_below_many(T.d[None, :], T.e[None, :] ** 2, [lam])[0, 0])
+    return int(cp.count_below_many(d[None, :], e[None, :] ** 2, [lam])[0, 0])
 
 
 class TestTridiagonalize:
     def test_diagonal_input(self):
-        T = cp.tridiagonalize(np.diag([1.0 + 0j, 2.0, 3.0]))
-        assert np.allclose(T.d, [1.0, 2.0, 3.0])
-        assert np.allclose(T.e, 0.0)
+        d, e = cp.tridiagonalize(np.diag([1.0 + 0j, 2.0, 3.0]))
+        assert np.allclose(d, [1.0, 2.0, 3.0])
+        assert np.allclose(e, 0.0)
 
     def test_trace_preserved(self):
         H = random_hermitian(50, 3)
-        T = cp.tridiagonalize(H)
-        assert T.d.sum() == pytest.approx(np.trace(H).real, abs=1e-10)
+        d, e = cp.tridiagonalize(H)
+        assert d.sum() == pytest.approx(np.trace(H).real, abs=1e-10)
 
     def test_frobenius_preserved(self):
         H = random_hermitian(50, 4)
-        T = cp.tridiagonalize(H)
-        frob_t = np.sum(T.d**2) + 2 * np.sum(T.e**2)
+        d, e = cp.tridiagonalize(H)
+        frob_t = np.sum(d**2) + 2 * np.sum(e**2)
         assert frob_t == pytest.approx(np.linalg.norm(H, "fro") ** 2, abs=1e-8)
 
     def test_offdiagonals_nonnegative(self):
-        T = cp.tridiagonalize(random_hermitian(20, 5))
-        assert (T.e >= 0).all()
+        d, e = cp.tridiagonalize(random_hermitian(20, 5))
+        assert (e >= 0).all()
 
     def test_spectrum_preserved(self):
         H = random_hermitian(30, 6)
-        T = cp.tridiagonalize(H)
-        assert np.abs(bisection_eigenvalues(T) - np.linalg.eigvalsh(H)).max() <= 1e-10
+        d, e = cp.tridiagonalize(H)
+        assert np.abs(bisection_eigenvalues(d, e) - np.linalg.eigvalsh(H)).max() <= 1e-10
 
     @pytest.mark.parametrize("n", [9, 31, 32, 64, 100, 400])
     def test_upper_buffer_reduced_in_place(self, n):
@@ -91,14 +94,13 @@ class TestTridiagonalize:
         full = cp.tridiagonalize(H)  # C order: reduced in a copy
         assert np.array_equal(H, kept)
         Hf = np.asfortranarray(H)
-        assert cp.tridiagonalize(Hf).d.tobytes() == full.d.tobytes()
+        assert bits(cp.tridiagonalize(Hf)) == bits(full)
         assert np.array_equal(Hf, H)  # not overwritten by default
         buf = np.asfortranarray(np.triu(H))
-        T = cp.tridiagonalize(buf, overwrite_a=True)
-        assert T.d.tobytes() == full.d.tobytes()
-        assert T.e.tobytes() == full.e.tobytes()
+        d, e = cp.tridiagonalize(buf, overwrite_a=True)
+        assert bits((d, e)) == bits(full)
         assert not np.array_equal(np.triu(buf), np.triu(H))  # reduced in place, no copy
-        err = np.abs(bisection_eigenvalues(T) - np.linalg.eigvalsh(H)).max()
+        err = np.abs(bisection_eigenvalues(d, e) - np.linalg.eigvalsh(H)).max()
         assert err <= 1e-12 * np.linalg.norm(H, 2)
 
     @pytest.mark.parametrize("n", [64, 100])
@@ -112,21 +114,20 @@ class TestTridiagonalize:
         H = np.asfortranarray(random_hermitian(n, 300 + n))
         before = set_local(0)
         set_local(before)
-        T = cp.tridiagonalize(H)
+        ours = cp.tridiagonalize(H)
         work, _ = scipy.linalg.lapack.zhetrd_lwork(n)
         _, d, e, _, info = scipy.linalg.lapack.zhetrd(H, lwork=int(work.real))
         assert info == 0
-        assert T.d.tobytes() == d.tobytes()
-        assert T.e.tobytes() == np.abs(e).tobytes()
+        assert bits(ours) == bits((d, np.abs(e)))
         after = set_local(before)
         assert after == before
 
     @pytest.mark.parametrize("n", [400, 1000])
     def test_two_stage_spectrum(self, n):
         H = random_hermitian(n, 400 + n)
-        T = cp.tridiagonalize(H)
-        assert (T.e >= 0).all()
-        err = np.abs(bisection_eigenvalues(T) - np.linalg.eigvalsh(H)).max()
+        d, e = cp.tridiagonalize(H)
+        assert (e >= 0).all()
+        err = np.abs(bisection_eigenvalues(d, e) - np.linalg.eigvalsh(H)).max()
         assert err <= 1e-12 * np.linalg.norm(H, 2)
 
     @pytest.mark.parametrize("n", [400, 1000])
@@ -143,8 +144,7 @@ class TestTridiagonalize:
             assert set_local(2) == 2  # the reduction put the count back
         finally:
             set_local(before)
-        assert one.d.tobytes() == two.d.tobytes()
-        assert one.e.tobytes() == two.e.tobytes()
+        assert bits(one) == bits(two)
 
     def test_one_stage_below_threshold(self):
         assert_matches_f2py_zhetrd(cp._TWO_STAGE_N - 1, 700)
@@ -157,8 +157,8 @@ class TestTridiagonalize:
         monkeypatch.setattr(_lapack, "zhetrd_2stage", lambda: None)
         monkeypatch.setattr(cp, "_per_thread", threading.local())  # no cached two-stage setup
         H = random_hermitian(cp._TWO_STAGE_N, 800)
-        T = cp.tridiagonalize(H)
-        err = np.abs(bisection_eigenvalues(T) - np.linalg.eigvalsh(H)).max()
+        d, e = cp.tridiagonalize(H)
+        err = np.abs(bisection_eigenvalues(d, e) - np.linalg.eigvalsh(H)).max()
         assert err <= 1e-12 * np.linalg.norm(H, 2)
 
     @pytest.mark.parametrize("n", [5, 64, cp._TWO_STAGE_N])
@@ -171,8 +171,18 @@ class TestTridiagonalize:
         fresh = cp.tridiagonalize(B)
         cp.tridiagonalize(A, overwrite_a=True)  # A stays alive, and B is another array
         reused = cp.tridiagonalize(B, overwrite_a=True)
-        assert reused.d.tobytes() == fresh.d.tobytes()
-        assert reused.e.tobytes() == fresh.e.tobytes()
+        assert bits(reused) == bits(fresh)
+
+    @pytest.mark.parametrize("n", [5, cp._TWO_STAGE_N])
+    def test_result_does_not_alias_workspace(self, n):
+        # the next reduction of the same order on this thread writes into the
+        # same workspace: a result reduced before it keeps its bytes
+        A = np.asfortranarray(random_hermitian(n, 1100 + n))
+        B = np.asfortranarray(random_hermitian(n, 1150 + n))
+        first = cp.tridiagonalize(A)
+        kept = bits(first)
+        cp.tridiagonalize(B)
+        assert bits(first) == kept
 
     def test_threads_reduce_concurrently_with_serial_bits(self):
         # more threads than cores, each with its own workspace, switching often:
@@ -200,8 +210,7 @@ class TestTridiagonalize:
         assert not any(t.is_alive() for t in threads)
         for w, g in zip(want, got):
             assert len(g) == 30
-            assert all(t.d.tobytes() == w.d.tobytes() and t.e.tobytes() == w.e.tobytes()
-                       for t in g)
+            assert all(bits(t) == bits(w) for t in g)
 
     @pytest.mark.parametrize("shape", [(0, 0), (3, 4), (4,), (2, 2, 2)])
     def test_rejects_non_square(self, shape):
@@ -223,29 +232,29 @@ class TestTridiagonalize:
 
 class TestCharDet:
     def test_single_site(self):
-        sign, log_mag = det_one(TridiagonalSymmetric(np.array([0.0]), np.zeros(0)), 2.0)
+        sign, log_mag = det_one(np.array([0.0]), np.zeros(0), 2.0)
         assert sign == 1 and log_mag == pytest.approx(math.log(2.0))
 
     def test_zero_matrix_power(self):
         n = 17
-        T = cp.tridiagonalize(np.zeros((n, n), dtype=complex))
-        sign, log_mag = det_one(T, 1.5)
+        d, e = cp.tridiagonalize(np.zeros((n, n), dtype=complex))
+        sign, log_mag = det_one(d, e, 1.5)
         assert sign == 1 and log_mag == pytest.approx(n * math.log(1.5), rel=1e-12)
 
     def test_matches_eigenvalue_product(self):
         H = random_hermitian(30, 7)
-        T = cp.tridiagonalize(H)
-        evs = bisection_eigenvalues(T)
+        d, e = cp.tridiagonalize(H)
+        evs = bisection_eigenvalues(d, e)
         for lam in (-3.0, -0.4, 0.1, 1.2, 4.0):
-            sign, log_mag = det_one(T, lam)
+            sign, log_mag = det_one(d, e, lam)
             oracle_log = float(np.sum(np.log(np.abs(lam - evs))))
             oracle_sign = int(np.prod(np.sign(lam - evs)))
             assert sign == oracle_sign
             assert log_mag == pytest.approx(oracle_log, rel=1e-6)
 
     def test_exact_zero_at_eigenvalue(self):
-        T = TridiagonalSymmetric(np.array([1.0, 2.0, 3.0]), np.zeros(2))
-        assert det_one(T, 2.0)[0] == 0
+        d, e = np.array([1.0, 2.0, 3.0]), np.zeros(2)
+        assert det_one(d, e, 2.0)[0] == 0
 
     def test_scale_robustness_large_n(self):
         # spectral radius ~2, n up to 2000: log magnitudes stay finite
@@ -253,9 +262,9 @@ class TestCharDet:
         n = 2000
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         H = (A + A.conj().T) / (2 * math.sqrt(n))
-        T = cp.tridiagonalize(H)
+        d, e = cp.tridiagonalize(H)
         for lam in (-1.0, 0.0, 0.5, 2.5):
-            sign, log_mag = det_one(T, lam)
+            sign, log_mag = det_one(d, e, lam)
             assert sign != 0 and math.isfinite(log_mag)
 
     def test_rescaled_recurrence_matches_oracle(self):
@@ -265,10 +274,10 @@ class TestCharDet:
         n = 600
         A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         H = (A + A.conj().T) / (2 * math.sqrt(n))
-        T = cp.tridiagonalize(H)
+        d, e = cp.tridiagonalize(H)
         evs = np.linalg.eigvalsh(H)
         for lam in (0.0, 0.3, -1.1):
-            sign, log_mag = det_one(T, lam)
+            sign, log_mag = det_one(d, e, lam)
             oracle_log = float(np.sum(np.log(np.abs(lam - evs))))
             assert log_mag < -100  # genuinely out of plain-double range territory
             assert sign == int(np.prod(np.sign(lam - evs)))
@@ -276,44 +285,44 @@ class TestCharDet:
 
     def test_sign_consistency_with_count(self):
         H = random_hermitian(25, 8)
-        T = cp.tridiagonalize(H)
-        n = T.size
+        d, e = cp.tridiagonalize(H)
+        n = len(d)
         for lam in np.linspace(-4, 4, 17):
-            sign, _ = det_one(T, lam)
+            sign, _ = det_one(d, e, lam)
             if sign != 0:
-                assert sign == (-1) ** (n - count_one(T, lam))
+                assert sign == (-1) ** (n - count_one(d, e, lam))
 
 
 class TestCountBelow:
     def test_diagonal_example(self):
-        T = TridiagonalSymmetric(np.array([1.0, 2.0, 3.0]), np.zeros(2))
-        assert count_one(T, 2.5) == 2
+        d, e = np.array([1.0, 2.0, 3.0]), np.zeros(2)
+        assert count_one(d, e, 2.5) == 2
 
     def test_eigenvalue_not_counted(self):
         # tie broken toward "not below": eigenvalue exactly at lambda
-        T = TridiagonalSymmetric(np.array([1.0, 2.0, 3.0]), np.zeros(2))
-        assert count_one(T, 2.0) == 1
+        d, e = np.array([1.0, 2.0, 3.0]), np.zeros(2)
+        assert count_one(d, e, 2.0) == 1
 
     def test_gershgorin_extremes(self):
         H = random_hermitian(40, 9)
-        T = cp.tridiagonalize(H)
-        bound = np.abs(T.d).max() + 2 * np.abs(T.e).max()
-        assert count_one(T, -bound - 1) == 0
-        assert count_one(T, bound + 1) == 40
+        d, e = cp.tridiagonalize(H)
+        bound = np.abs(d).max() + 2 * np.abs(e).max()
+        assert count_one(d, e, -bound - 1) == 0
+        assert count_one(d, e, bound + 1) == 40
 
     def test_matches_bisection_oracle(self):
         H = random_hermitian(40, 10)
-        T = cp.tridiagonalize(H)
-        evs = bisection_eigenvalues(T)
+        d, e = cp.tridiagonalize(H)
+        evs = bisection_eigenvalues(d, e)
         rng = np.random.default_rng(12)
         for lam in rng.uniform(-5, 5, 25):
-            assert count_one(T, lam) == int(np.sum(evs < lam))
+            assert count_one(d, e, lam) == int(np.sum(evs < lam))
 
     def test_monotone_in_lambda(self):
         H = random_hermitian(30, 13)
-        T = cp.tridiagonalize(H)
+        d, e = cp.tridiagonalize(H)
         lams = np.linspace(-5, 5, 101)
-        counts = cp.count_below_many(T.d[None, :], T.e[None, :] ** 2, lams)[0]
+        counts = cp.count_below_many(d[None, :], e[None, :] ** 2, lams)[0]
         assert (np.diff(counts) >= 0).all()
 
     def test_exact_zero_pivots_match_reference(self):

@@ -15,22 +15,23 @@ from bandmoment.verify import _dense_chain as dense_chain
 
 class TestNeumannLaplacian:
     def test_three_sites(self):
-        lap = lt.neumann_laplacian(lt.Lattice1D(3))
-        assert np.array_equal(lap.d, [1.0, 2.0, 1.0])
-        assert np.array_equal(lap.e, [-1.0, -1.0])
+        d, e = lt.neumann_laplacian(lt.Lattice1D(3))
+        assert np.array_equal(d, [1.0, 2.0, 1.0])
+        assert np.array_equal(e, [-1.0, -1.0])
 
     def test_two_sites(self):
-        lap = lt.neumann_laplacian(lt.Lattice1D(2))
-        assert np.array_equal(lap.d, [1.0, 1.0])
-        assert np.array_equal(lap.e, [-1.0])
+        d, e = lt.neumann_laplacian(lt.Lattice1D(2))
+        assert np.array_equal(d, [1.0, 1.0])
+        assert np.array_equal(e, [-1.0])
 
     def test_single_site_is_zero(self):
-        lap = lt.neumann_laplacian(lt.Lattice1D(1))
-        assert lap.d[0] == 0.0 and len(lap.e) == 0
+        d, e = lt.neumann_laplacian(lt.Lattice1D(1))
+        assert np.array_equal(d, [0.0]) and len(e) == 0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 12])
     def test_row_sums_zero(self, n):
-        dense = lt.neumann_laplacian(lt.Lattice1D(n)).to_dense()
+        d, e = lt.neumann_laplacian(lt.Lattice1D(n))
+        dense = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
         assert np.abs(dense.sum(axis=1)).max() == 0.0
 
     def test_lattice_validators(self):
@@ -56,9 +57,8 @@ class TestCovarianceProfile:
         assert np.array_equal(prof.J, prof.J.T)
         assert prof.J.min() > 0.0
         # positive definiteness via Sturm count on W^2 K + 1
-        lap = lt.neumann_laplacian(lt.Lattice1D(201))
-        shifted = lt.TridiagonalSymmetric(100.0 * lap.d + 1.0, 100.0 * lap.e)
-        counts = cp.count_below_many(shifted.d, shifted.e ** 2, [0.0, 1.0 - 1e-9])
+        d, e = lt.neumann_laplacian(lt.Lattice1D(201))
+        counts = cp.count_below_many(100.0 * d + 1.0, (100.0 * e) ** 2, [0.0, 1.0 - 1e-9])
         assert counts[0, 0] == 0
         assert counts[0, 1] == 0  # spectrum starts at 1
 
@@ -73,7 +73,7 @@ class TestCovarianceProfile:
         assert slope < 0
 
     def test_matches_dense_inverse(self):
-        lap = lt.neumann_laplacian(lt.Lattice1D(9)).to_dense()
+        lap = dense_chain(9, 0.0, pinned=False).real
         expected = np.linalg.inv(4.0 * lap + np.eye(9))
         prof = lt.covariance_profile(lt.Lattice1D(9), 2.0)
         assert np.abs(prof.J - expected).max() <= 1e-13
@@ -89,21 +89,21 @@ class TestCovarianceProfile:
     def test_bits_of_the_solveh_banded_route(self, n, W):
         # the profile as computed through scipy's solveh_banded, which calls
         # dptsv for a band of one off-diagonal
-        lap = lt.neumann_laplacian(lt.Lattice1D(n))
+        d, e = lt.neumann_laplacian(lt.Lattice1D(n))
         w2 = W ** 2
         ab = np.zeros((2, n))
-        ab[1] = w2 * lap.d + 1.0
-        ab[0, 1:] = w2 * lap.e
+        ab[1] = w2 * d + 1.0
+        ab[0, 1:] = w2 * e
         rhs = np.eye(n)
         J = solveh_banded(ab, rhs)
-        J = J + solveh_banded(ab, rhs - lt._mul_shifted_tridiag(lap, w2, J))
+        J = J + solveh_banded(ab, rhs - lt._mul_shifted_tridiag(d, e, w2, J))
         J = 0.5 * (J + J.T)
         assert lt.covariance_profile(lt.Lattice1D(n), W).J.tobytes() == J.tobytes()
 
     def test_rejects_non_square_or_empty(self):
         for J in (np.ones((2, 3)), np.ones(3), np.ones((0, 0))):
             with pytest.raises(ValueError, match="nonempty square"):
-                lt.CovarianceProfile(J, 1.0)
+                lt.CovarianceProfile(J)
 
     def test_solver_raises_on_indefinite_band(self):
         with pytest.raises(np.linalg.LinAlgError, match="2th leading minor"):

@@ -12,7 +12,7 @@ from bandmoment import moments as mo
 from bandmoment.lattice import Lattice1D, covariance_profile
 from bandmoment.charpoly import tridiagonalize_batch
 from bandmoment.sampler import RngStream, gue_profile, sample_batch
-from bandmoment.saddle import scaled_lambdas, sine_kernel
+from bandmoment.saddle import sine_kernel
 
 
 class TestWickExact:
@@ -270,29 +270,25 @@ def test_million_sample_oracle_memory():
 
 class TestRatioVsSine:
     def test_coincident_xi_is_exactly_one(self):
-        p = scaled_lambdas(0.0, 0.3, 0.3, 5)
-        r = mo.ratio_vs_sine(p, "band", 2.0, 1000, 30)
+        r = mo.moment_scan("band", 5, 2.0, 0.0, [(0.3, 0.3)], 1000, 30)[0]
         assert r.ratio == 1.0 and r.stderr == 0.0 and r.sine_ref == 1.0
         assert r.deviation == 0.0
 
     def test_exchange_symmetry_bitwise(self):
-        pa = scaled_lambdas(0.0, 0.25, -0.25, 3)
-        pb = scaled_lambdas(0.0, -0.25, 0.25, 3)
-        ra = mo.ratio_vs_sine(pa, "band", 2.0, 20_000, 5)
-        rb = mo.ratio_vs_sine(pb, "band", 2.0, 20_000, 5)
+        ra = mo.moment_scan("band", 3, 2.0, 0.0, [(0.25, -0.25)], 20_000, 5)[0]
+        rb = mo.moment_scan("band", 3, 2.0, 0.0, [(-0.25, 0.25)], 20_000, 5)[0]
         assert ra.ratio == rb.ratio
         assert ra.stderr == rb.stderr
         assert ra.sine_ref == rb.sine_ref
 
     def test_estimator_is_real_valued(self):
-        p = scaled_lambdas(0.5, 0.4, -0.2, 8)
-        r = mo.ratio_vs_sine(p, "band", 3.0, 10_000, 31)
+        r = mo.moment_scan("band", 8, 3.0, 0.5, [(0.4, -0.2)], 10_000, 31)[0]
         assert isinstance(r.ratio, float) and math.isfinite(r.ratio)
 
     def test_single_site_ratio_matches_closed_form(self):
         # at one site everything is exact: F2/D2 = (l1 l2 + 1)/sqrt((1+l1^2)(1+l2^2))
-        p = scaled_lambdas(0.0, 0.4, -0.3, 1)
-        r = mo.ratio_vs_sine(p, "band", 1.0, 400_000, 33)
+        r = mo.moment_scan("band", 1, 1.0, 0.0, [(0.4, -0.3)], 400_000, 33)[0]
+        p = r.params
         expect = ((p.lambda1 * p.lambda2 + 1)
                   / math.sqrt((1 + p.lambda1**2) * (1 + p.lambda2**2)))
         assert abs(r.ratio - expect) <= 5 * r.stderr
@@ -305,9 +301,8 @@ class TestRatioVsSine:
             assert res[0].ratio == 1.0 and res[0].deviation == 0.0
             assert res[1].samples == 5_000
             assert math.isfinite(res[1].stderr) and res[1].stderr > 0
-            for (x1, x2), r in zip(pairs, res):
-                single = mo.ratio_vs_sine(scaled_lambdas(0.0, x1, x2, n), ensemble, W,
-                                          5_000, 40)
+            for pair, r in zip(pairs, res):
+                single = mo.moment_scan(ensemble, n, W, 0.0, [pair], 5_000, 40)[0]
                 assert r.params == single.params
                 assert (r.ratio.hex(), r.stderr.hex(), r.samples, r.rejected) == (
                     single.ratio.hex(), single.stderr.hex(), single.samples, single.rejected)

@@ -83,7 +83,7 @@ class TestSampleGue:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="nonempty square"):
-            sm.sample_gue(0, sm.RngStream(1))
+            sm.sample_rbm(sm.gue_profile(0), sm.RngStream(1))
 
 
 class TestUpperEntries:
@@ -174,6 +174,6 @@ class TestUpperSamples:
         a = next(sm.upper_samples(prof, s, 1, buf))
         assert self.upper(a) == self.upper(sm.sample_rbm(prof, s))
         a = next(sm.upper_samples(gue, s, 1, buf))
-        assert self.upper(a) == self.upper(sm.sample_gue(n, s))
+        assert self.upper(a) == self.upper(sm.sample_rbm(gue, s))
         assert sm.sample_rbm(prof, s).tobytes() == sm.sample_batch(prof, s, 1)[0].tobytes()
-        assert sm.sample_gue(n, s).tobytes() == sm.sample_batch(gue, s, 1)[0].tobytes()
+        assert sm.sample_rbm(gue, s).tobytes() == sm.sample_batch(gue, s, 1)[0].tobytes()

@@ -25,7 +25,8 @@ def h_by_quadrature(s, x):
 
 class TestHaarU2:
     def test_single_draw_deterministic(self):
-        assert np.array_equal(un.haar_u2(RngStream(4, 9)), un.haar_u2(RngStream(4, 9)))
+        assert np.array_equal(un.haar_u2_batch(RngStream(4, 9), 1)[0],
+                              un.haar_u2_batch(RngStream(4, 9), 1)[0])
 
     def test_offdiagonal_weight(self):
         # |U_12|^2 is uniform on [0,1] under Haar, so its mean is 1/2
