@@ -114,8 +114,8 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
                 raise ConfigError("band ensemble needs exactly one of bandwidth / theta")
             if has_w:
                 bandwidth = float(raw["bandwidth"])
-                if not bandwidth > 0:
-                    raise ConfigError("bandwidth must be positive")
+                if not (bandwidth > 0 and math.isfinite(bandwidth * bandwidth)):
+                    raise ConfigError("bandwidth must be positive, with a finite square")
             else:
                 theta = float(raw["theta"])
                 if not 0.0 < theta <= 1.0:
@@ -174,7 +174,11 @@ class _CsvWriter:
 
     def __init__(self, path: str):
         self.path = path
-        self._fh = sys.stdout if path == "-" else open(path, "w", encoding="utf-8", newline="\n")
+        try:
+            self._fh = (sys.stdout if path == "-"
+                        else open(path, "w", encoding="utf-8", newline="\n"))
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
 
     def comment(self, text: str):
         self._fh.write(f"# {text}\n")

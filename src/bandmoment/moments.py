@@ -8,12 +8,12 @@ normalized by the geometric mean D2 = sqrt(F2(l1,l1)) sqrt(F2(l2,l2)) and
 compared against the sine-kernel curve in the bulk scaling limit.  Per-sample
 determinants are kept in signed-log form: an int8 sign and a float64 log
 magnitude per sample and lambda, 9 bytes.  A pair (l_a, l_b) is reduced in
-its own float64 vector of log|det_a det_b|, which the reduction overwrites
-(`_reduce_signed_log` consumes its `logp`).  `mc_f2` estimates single
-moments by max-shifted sums over 4096-sample blocks, which stay valid beyond
-double range; `moment_scan` estimates the normalized moment at each pair of
-a grid, with numerator and both denominator factors from one sample set, and
-errors by leave-one-block-out jackknife over 50 fixed blocks.
+its own float64 vector of weights det_a det_b / exp(M), shifted by the pair's
+maximum log magnitude M (`_weights`), so sums of weights stay in double range
+however large the determinants are.  `mc_f2` estimates single moments as the
+mean of one pair's weights; `moment_scan` estimates the normalized moment at
+each pair of a grid, with numerator and both denominator factors from one
+sample set, and errors by leave-one-block-out jackknife over 50 fixed blocks.
 
 An exact Isserlis-pairing expansion (dimension <= 3) provides the independent
 oracle the Monte Carlo path is validated against.
@@ -33,7 +33,7 @@ from . import charpoly, sampler
 from .lattice import CovarianceProfile, Lattice1D, covariance_profile
 from .saddle import SpectralParams, scaled_lambdas, sine_kernel
 
-_CHUNK = 4096          # samples per accumulation block (single max-shift each)
+_CHUNK = 4096          # samples per sampling block of det_log_samples
 _JACKKNIFE_BLOCKS = 50
 _SMALL_N_BATCH = 8     # up to and including this n the vectorized Householder path is used
 _WICK_MAX_N = 3
@@ -284,70 +284,47 @@ def det_log_samples(ensemble: str, n: int, W: float | None, lambdas,
     return DetLogSamples(lambdas, signs, logs, rejected)
 
 
-def _pair_logs(dets: DetLogSamples, a: int, b: int, zero: np.ndarray) -> np.ndarray:
-    """log|det_a det_b| per sample, -inf where `zero`, in a fresh float64 vector."""
-    with np.errstate(invalid="ignore"):
-        logp = dets.logmags[:, a] + dets.logmags[:, b]
-    np.copyto(logp, -np.inf, where=zero)
-    return logp
+def _weights(dets: DetLogSamples, a: int, b: int) -> tuple[float, np.ndarray]:
+    """Shift M and weights u with det_a det_b = exp(M) * u, per sample.
 
-
-def _pair_products(dets: DetLogSamples, a: int, b: int) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample sign (int8) and log magnitude of det_a det_b."""
+    M is the maximum of log|det_a det_b| over the samples and u a fresh float64
+    vector, formed in place, so one pair's weights fit in double range however
+    large the determinants are.  When every product is zero, M is -inf and u
+    is all zero.
+    """
     s = dets.signs[:, a] * dets.signs[:, b]
-    return s, _pair_logs(dets, a, b, s == 0)
+    with np.errstate(invalid="ignore"):
+        u = dets.logmags[:, a] + dets.logmags[:, b]
+    np.copyto(u, -np.inf, where=s == 0)
+    M = float(np.max(u))
+    if M == -math.inf:
+        u.fill(0.0)
+    else:
+        np.exp(np.subtract(u, M, out=u), out=u)
+        u *= s
+    return M, u
 
 
 def _block_edges(n: int, blocks: int) -> np.ndarray:
     return np.array([(b * n) // blocks for b in range(blocks + 1)], dtype=np.int64)
 
 
-def _reduce_signed_log(s: np.ndarray, logp: np.ndarray, rejected: int) -> MomentEstimate:
-    """Mean and standard error of s*exp(logp) without leaving the log domain.
+def _mean_stderr(M: float, u: np.ndarray, rejected: int) -> MomentEstimate:
+    """Mean and standard error of exp(M) * u, which stay valid beyond double range.
 
-    Chunked accumulation: one max-shift per 4096-sample block, blocks combined
-    by max-shifted signed-log addition in index order.  The variance pass
-    works in `logp` itself, which is overwritten.
+    The variance pass overwrites `u`.
     """
-    n = len(s)
-    # global shift for the variance pass
-    M = float(np.max(logp))
-    if M == -math.inf:
-        return MomentEstimate(0.0, 0.0, n, 0, -math.inf, -math.inf, rejected)
-    sign, log_abs = 0, -math.inf   # running sum: sign * exp(log_abs)
-    for start in range(0, n, _CHUNK):
-        sl = slice(start, min(start + _CHUNK, n))
-        mc = float(np.max(logp[sl]))
-        if mc == -math.inf:
-            continue
-        part = float(np.sum(s[sl] * np.exp(logp[sl] - mc)))
-        if part == 0.0:
-            continue
-        p_sign, p_log = (1 if part > 0 else -1), mc + math.log(abs(part))
-        if sign == 0:
-            sign, log_abs = p_sign, p_log
-            continue
-        m = max(log_abs, p_log)
-        total = sign * math.exp(log_abs - m) + p_sign * math.exp(p_log - m)
-        if total == 0.0:
-            sign, log_abs = 0, -math.inf
-        else:
-            sign, log_abs = (1 if total > 0 else -1), m + math.log(abs(total))
-    log_mean = log_abs - math.log(n)
-
-    u = np.exp(np.subtract(logp, M, out=logp), out=logp)
-    u *= s
-    u_mean = sign * math.exp(log_mean - M)   # 0.0 when sign == 0 (log_mean is -inf)
-    u -= u_mean
+    n = len(u)
+    total = float(np.sum(u))
+    sign = (total > 0) - (total < 0)
+    log_mean = M + math.log(abs(total)) - math.log(n) if sign else -math.inf
+    u -= total / n
     var = float(np.sum(np.square(u, out=u))) / (n - 1)
     se_shifted = math.sqrt(var / n)
     log_se = M + math.log(se_shifted) if se_shifted > 0 else -math.inf
-
-    value = sign * (math.inf if log_mean > 709.0 else math.exp(log_mean))
-    stderr = math.exp(log_se) if log_se < 709.0 else math.inf
     return MomentEstimate(
-        value=value,
-        stderr=stderr,
+        value=sign * (math.inf if log_mean > 709.0 else math.exp(log_mean)),
+        stderr=math.exp(log_se) if log_se < 709.0 else math.inf,
         samples=n,
         sign=sign,
         log_abs_value=log_mean,
@@ -369,23 +346,17 @@ def mc_f2(ensemble: str, n: int, W: float | None, lambda_list,
     L = len(dets.lambdas)
     for a in range(L):
         for b in range(a, L):
-            # one pair's vectors at a time: they are freed before the next pair's are made
-            out[(a, b)] = _reduce_signed_log(*_pair_products(dets, a, b), dets.rejected)
+            # passed straight on, so one pair's weights are freed before the next pair's
+            out[(a, b)] = _mean_stderr(*_weights(dets, a, b), dets.rejected)
     return out
 
 
 def _jackknife_ratio(dets: DetLogSamples, a: int, b: int) -> tuple[float, float]:
     """Shared-sample ratio F2(la,lb) / sqrt(F2(la,la) F2(lb,lb)) with jackknife stderr."""
-    s_ab, l_ab = _pair_products(dets, a, b)
-    l_aa = _pair_logs(dets, a, a, dets.signs[:, a] == 0)
-    l_bb = _pair_logs(dets, b, b, dets.signs[:, b] == 0)
-    m_ab, m_aa, m_bb = (float(np.max(x)) for x in (l_ab, l_aa, l_bb))
+    (m_ab, u_ab), (m_aa, u_aa), (m_bb, u_bb) = (_weights(dets, i, j)
+                                                for i, j in ((a, b), (a, a), (b, b)))
     if math.isinf(m_aa) or math.isinf(m_bb):
         raise EstimatorError("degenerate diagonal moments (all determinants zero)")
-    u_ab = np.exp(np.subtract(l_ab, m_ab, out=l_ab), out=l_ab)
-    u_ab *= s_ab
-    u_aa = np.exp(np.subtract(l_aa, m_aa, out=l_aa), out=l_aa)
-    u_bb = np.exp(np.subtract(l_bb, m_bb, out=l_bb), out=l_bb)
     pref = math.exp(m_ab - 0.5 * (m_aa + m_bb))
     ratio = pref * u_ab.mean() / math.sqrt(u_aa.mean() * u_bb.mean())
 

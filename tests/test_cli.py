@@ -67,6 +67,22 @@ class TestConfig:
                         "xi_grid = 0,0\nout = x.csv\n")
         assert run_cli(["moment-scan", "--config", cfg]) == 2
 
+    @pytest.mark.parametrize("bandwidth", ["inf", "1e200"])
+    def test_bandwidth_square_must_be_finite(self, tmp_path, capsys, bandwidth):
+        cfg = write_cfg(tmp_path / "c.cfg", BASE_SCAN.replace("bandwidth = 3",
+                                                              f"bandwidth = {bandwidth}"))
+        out = tmp_path / "scan.csv"
+        assert run_cli(["moment-scan", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert "bandwidth must be positive, with a finite square" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["moment-scan", "spectrum"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path / "c.cfg", "ensemble = gue\nn_dim = 4\nsamples = 10\n")
+        out = str(tmp_path / "missing" / "x.csv")
+        assert run_cli([command, "--config", cfg, "--out", out, "--quiet"]) == 2
+        assert f"invalid config: cannot write {out}" in capsys.readouterr().err
+
     def test_env_threads_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BANDMOMENT_THREADS", "3")
         cfg = write_cfg(tmp_path / "c.cfg",

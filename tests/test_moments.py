@@ -177,6 +177,32 @@ class TestDetLogSamples:
         with pytest.raises(mo.EstimatorError, match="all samples rejected"):
             mo.det_log_samples("band", 3, 2.0, [0.0, 0.5], len(bad), 1)
 
+    # every determinant at the first lambda is exactly zero (sign 0, log -inf)
+    ZERO_COLUMN = ([[0, 1], [0, -1], [0, 1], [0, 1]],
+                   [[-np.inf, 0.5], [-np.inf, 1.0], [-np.inf, -2.0], [-np.inf, 0.0]])
+
+    def test_all_zero_column_estimates_zero(self, monkeypatch):
+        # a floating-point warning would fail the test (pytest's filterwarnings)
+        self.stub(monkeypatch, *self.ZERO_COLUMN)
+        out = mo.mc_f2("band", 3, 2.0, [0.0, 0.5], 4, 1)
+        for key in ((0, 0), (0, 1)):
+            est = out[key]
+            assert (est.sign, est.value, est.stderr, est.samples) == (0, 0.0, 0.0, 4)
+            assert est.log_abs_value == est.log_abs_stderr == -math.inf
+        assert out[(1, 1)].sign == 1 and out[(1, 1)].stderr > 0
+
+    def test_all_zero_column_degenerate_ratio(self, monkeypatch):
+        self.stub(monkeypatch, *self.ZERO_COLUMN)
+        with pytest.raises(mo.EstimatorError, match="degenerate diagonal moments"):
+            mo.moment_scan("band", 3, 2.0, 0.0, [(0.3, -0.3)], 4, 1)
+
+    def test_all_zero_products_ratio_zero(self, monkeypatch):
+        # each column has nonzero determinants, but never in the same row
+        self.stub(monkeypatch, [[0, 1], [1, 0], [0, -1], [-1, 0]],
+                  [[-np.inf, 0.5], [1.0, -np.inf], [-np.inf, 2.0], [0.0, -np.inf]])
+        r = mo.moment_scan("band", 3, 2.0, 0.0, [(0.3, -0.3)], 4, 1)[0]
+        assert (r.ratio, r.stderr) == (0.0, 0.0)
+
 
 def crafted_dets(n=10_000, seed=3) -> mo.DetLogSamples:
     """Logs near +700, near -700 and near 0, and logs <= 0 whose max is 0
@@ -213,24 +239,24 @@ class TestInPlaceReductions:
     @pytest.mark.parametrize("a,b", PAIRS)
     def test_reduce_signed_log(self, a, b):
         dets = crafted_dets()
-        s, logp = mo._pair_products(dets, a, b)
+        # one max shift for the whole pair, written out of place with float64 signs
         sf, lp = out_of_place_pair(dets, a, b)
-        assert s.dtype == np.int8 and s.tolist() == sf.tolist()
-        assert logp.tobytes() == lp.tobytes()
-        est = mo._reduce_signed_log(s, logp, 5)
-        # the blockwise mean with the float64 signs it used to take
-        ref = mo._reduce_signed_log(sf, lp.copy(), 5)
-        assert est.sign == ref.sign
-        assert hexes(est.value, est.log_abs_value) == hexes(ref.value, ref.log_abs_value)
         n, M = len(lp), float(np.max(lp))
         u = sf * np.exp(lp - M)
-        u_mean = est.sign * math.exp(est.log_abs_value - M)
-        var = float(np.sum((u - u_mean) ** 2)) / (n - 1)
+        total = float(np.sum(u))
+        sign = int(np.sign(total))
+        log_mean = M + math.log(abs(total)) - math.log(n)
+        var = float(np.sum((u - total / n) ** 2)) / (n - 1)
         log_se = M + math.log(math.sqrt(var / n))
-        assert hexes(est.log_abs_stderr) == hexes(log_se)
+        value = sign * (math.exp(log_mean) if log_mean <= 709.0 else math.inf)
         stderr = math.exp(log_se) if log_se < 709.0 else math.inf
-        assert hexes(est.stderr) == hexes(stderr)
-        assert math.isfinite(est.log_abs_value) and est.samples == n and est.rejected == 5
+        m, w = mo._weights(dets, a, b)
+        assert m == M and np.array_equal(w, u)  # equal up to the sign of zeros
+        est = mo._mean_stderr(m, w, 5)
+        assert est.sign == sign and est.samples == n and est.rejected == 5
+        assert hexes(est.value, est.stderr, est.log_abs_value, est.log_abs_stderr) == hexes(
+            value, stderr, log_mean, log_se)
+        assert math.isfinite(est.log_abs_value)
 
     @pytest.mark.parametrize("a,b", [p for p in PAIRS if p[0] != p[1]])
     def test_jackknife_ratio(self, a, b):
