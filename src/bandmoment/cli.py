@@ -20,7 +20,7 @@ import os
 import sys
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -41,23 +41,44 @@ class ConfigError(ValueError):
     pass
 
 
+def _key(parse, check, rule: str, default: str | None = None):
+    """Declare the config key of an ExperimentConfig field.
+
+    A value is `parse(text)` and must pass `check`; `rule` says what passes,
+    for the error message.  `default` is config text, parsed like a value from
+    the file; None leaves the key unset.
+    """
+    return field(metadata={"parse": parse, "check": check, "rule": rule, "default": default})
+
+
+def _xi_pairs(text: str) -> list[tuple[float, float]]:
+    return [tuple(map(float, chunk.split(","))) for chunk in text.split(";") if chunk.strip()]
+
+
 @dataclass
 class ExperimentConfig:
-    ensemble: str
-    n_dim: int
-    bandwidth: float | None      # resolved W (None for gue)
-    theta: float | None          # set when bandwidth came from the exponent rule
-    lambda0: float
-    xi_grid: list[tuple[float, float]]
-    samples: int
-    seed: int
-    threads: int
-    out: str
+    """One run's settings; each field is the config key of its name, declared once."""
+
+    ensemble: str = _key(str.lower, lambda v: v in ("band", "gue"), "'band' or 'gue'", "band")
+    n_dim: int = _key(int, lambda v: v >= 1, "a positive integer")
+    # band takes exactly one of the two; bandwidth is then the resolved W (None for
+    # gue), and theta is set when W came from the exponent rule
+    bandwidth: float | None = _key(float, lambda v: v > 0 and math.isfinite(v * v),
+                                   "positive, with a finite square")
+    theta: float | None = _key(float, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+    lambda0: float = _key(float, lambda v: abs(v) < 2.0, "strictly inside (-2, 2)", "0")
+    xi_grid: list[tuple[float, float]] = _key(
+        _xi_pairs, lambda v: v and all(len(p) == 2 and all(map(math.isfinite, p)) for p in v),
+        "finite 'xi1,xi2' pairs separated by ';'", "0,0")
+    samples: int = _key(int, lambda v: v >= 2, "an integer >= 2", "10000")
+    seed: int = _key(int, lambda v: 0 <= v < 2 ** 64, "an integer in [0, 2^64)", "1")
+    threads: int = _key(int, lambda v: v >= 1, "a positive integer", "1")
+    out: str = _key(str, bool, "a path ('-' for stdout)")
     # spectrum-only knobs
-    bins: int = 120
-    lambda_min: float = -3.0
-    lambda_max: float = 3.0
-    ks_points: int = 2001
+    bins: int = _key(int, lambda v: v >= 2, "an integer >= 2", "120")
+    lambda_min: float = _key(float, math.isfinite, "finite", "-3")
+    lambda_max: float = _key(float, math.isfinite, "finite", "3")
+    ks_points: int = _key(int, lambda v: v >= 10, "an integer >= 10", "2001")
 
 
 def _parse_kv_file(path: str) -> dict[str, str]:
@@ -77,90 +98,47 @@ def _parse_kv_file(path: str) -> dict[str, str]:
     return values
 
 
-def _parse_xi_grid(text: str) -> list[tuple[float, float]]:
-    pairs = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = chunk.split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"xi_grid entry {chunk!r} is not 'xi1,xi2'")
-        pairs.append((float(parts[0]), float(parts[1])))
-    if not pairs:
-        raise ConfigError("xi_grid is empty")
-    return pairs
-
-
 def build_config(args: argparse.Namespace) -> ExperimentConfig:
+    """Parse, default and check every key in one pass over the declarations.
+
+    A key comes from its flag (--samples, --seed, --threads, --out), else the
+    config file, else BANDMOMENT_THREADS (threads only), else its default.
+    Keys the file names but no field declares are an error.
+    """
     raw = _parse_kv_file(args.config) if args.config else {}
-
-    def pick(key, default=None):
-        return raw.get(key, default)
-
-    try:
-        ensemble = str(pick("ensemble", "band")).lower()
-        if ensemble not in ("band", "gue"):
-            raise ConfigError(f"ensemble must be 'band' or 'gue', got {ensemble!r}")
-        n_dim = int(pick("n_dim", 0))
-        if n_dim < 1:
-            raise ConfigError("n_dim must be a positive integer")
-        theta = None
-        bandwidth = None
-        if ensemble == "band":
-            has_w = "bandwidth" in raw
-            has_theta = "theta" in raw
-            if has_w == has_theta:
-                raise ConfigError("band ensemble needs exactly one of bandwidth / theta")
-            if has_w:
-                bandwidth = float(raw["bandwidth"])
-                if not (bandwidth > 0 and math.isfinite(bandwidth * bandwidth)):
-                    raise ConfigError("bandwidth must be positive, with a finite square")
-            else:
-                theta = float(raw["theta"])
-                if not 0.0 < theta <= 1.0:
-                    raise ConfigError("theta must lie in (0, 1]")
-                bandwidth = float(round(n_dim ** ((1.0 + theta) / 2.0)))
-        lambda0 = float(pick("lambda0", "0"))
-        if not abs(lambda0) < 2.0:
-            raise ConfigError("lambda0 must lie strictly inside (-2, 2)")
-        xi_grid = _parse_xi_grid(pick("xi_grid", "0,0"))
-        samples = int(args.samples if args.samples is not None else pick("samples", 10000))
-        if samples < 2:
-            raise ConfigError("samples must be >= 2")
-        seed = int(args.seed if args.seed is not None else pick("seed", 1))
-        if not 0 <= seed < 2 ** 64:
-            raise ConfigError("seed must fit in 64 bits")
-        env_threads = os.environ.get("BANDMOMENT_THREADS")
-        if args.threads is not None:
-            threads = int(args.threads)
-        elif "threads" in raw:
-            threads = int(raw["threads"])
-        elif env_threads:
-            threads = int(env_threads)
-        else:
-            threads = 1
-        if threads < 1:
-            raise ConfigError("threads must be >= 1")
-        out = args.out if args.out is not None else pick("out")
-        if out is None:
-            raise ConfigError("output path required (config key 'out' or flag --out)")
-        cfg = ExperimentConfig(
-            ensemble=ensemble, n_dim=n_dim, bandwidth=bandwidth, theta=theta,
-            lambda0=lambda0, xi_grid=xi_grid, samples=samples, seed=seed,
-            threads=threads, out=str(out),
-            bins=int(pick("bins", 120)),
-            lambda_min=float(pick("lambda_min", -3.0)),
-            lambda_max=float(pick("lambda_max", 3.0)),
-            ks_points=int(pick("ks_points", 2001)),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    if cfg.bins < 2 or cfg.ks_points < 10 or not cfg.lambda_min < cfg.lambda_max:
-        raise ConfigError("invalid spectrum grid settings")
-    return cfg
+    decls = {f.name: f.metadata for f in fields(ExperimentConfig)}
+    unknown = sorted(set(raw) - set(decls))
+    if unknown:
+        raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+    if os.environ.get("BANDMOMENT_THREADS"):
+        raw.setdefault("threads", os.environ["BANDMOMENT_THREADS"])
+    raw.update((key, str(getattr(args, key))) for key in ("samples", "seed", "threads", "out")
+               if getattr(args, key) is not None)
+    vals = {}
+    for key, decl in decls.items():
+        text = raw.get(key, decl["default"])
+        try:
+            vals[key] = None if text is None else decl["parse"](text)
+            ok = text is None or decl["check"](vals[key])
+        except (ValueError, OverflowError):
+            ok = False
+        if not ok:
+            raise ConfigError(f"{key} must be {decl['rule']}, got {text!r}")
+    missing = [key for key in ("n_dim", "out") if vals[key] is None]
+    if missing:
+        raise ConfigError(f"required key(s) not set: {', '.join(missing)}")
+    if vals["ensemble"] == "gue":
+        vals["bandwidth"] = vals["theta"] = None
+    elif (vals["bandwidth"] is None) == (vals["theta"] is None):
+        raise ConfigError("band ensemble needs exactly one of bandwidth / theta")
+    elif vals["theta"] is not None:
+        try:
+            vals["bandwidth"] = float(round(vals["n_dim"] ** ((1.0 + vals["theta"]) / 2.0)))
+        except OverflowError:
+            raise ConfigError("n_dim is too large for the theta bandwidth rule") from None
+    if not 0.0 < vals["lambda_max"] - vals["lambda_min"] < math.inf:
+        raise ConfigError("lambda_min must lie below lambda_max, by a finite width")
+    return ExperimentConfig(**vals)
 
 
 def _fmt(x) -> str:
@@ -230,6 +208,7 @@ def cmd_moment_scan(cfg: ExperimentConfig, quiet: bool) -> int:
         for r in results:
             writer.row([r.params.xi1, r.params.xi2, r.ratio, r.stderr, r.sine_ref,
                         r.deviation, cfg.n_dim, bandwidth_out, cfg.samples, cfg.seed])
+        writer.comment(f"samples_used={results[0].samples} rejected={results[0].rejected}")
     except KeyboardInterrupt:
         writer.comment("INCOMPLETE")
         print("interrupted; partial CSV flushed", file=sys.stderr)
@@ -280,31 +259,32 @@ def cmd_spectrum(cfg: ExperimentConfig, quiet: bool) -> int:
     ks_grid = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.ks_points)
     edges = np.concatenate([bin_edges, ks_grid])
     progress = _Progress("spectrum", cfg.samples, quiet)
-    try:
-        pooled = _spectrum_counts(cfg, edges, progress)
-    except KeyboardInterrupt:
-        print("interrupted before any output", file=sys.stderr)
-        return EXIT_INTERRUPTED
-    total = cfg.samples * cfg.n_dim
-    cdf_bins = pooled[: len(bin_edges)] / total
-    cdf_ks = pooled[len(bin_edges):] / total
-    ks_distance = float(np.abs(cdf_ks - semicircle_cdf(ks_grid)).max())
-    mass = np.diff(cdf_bins)
-    ref_cdf = semicircle_cdf(bin_edges)
-    ref_mass = np.diff(ref_cdf)
-
     writer = _CsvWriter(cfg.out)
     writer.comment("bandmoment spectrum")
     writer.comment(f"ensemble={cfg.ensemble} n_dim={cfg.n_dim} "
                    f"bandwidth={_fmt(cfg.bandwidth if cfg.bandwidth is not None else math.inf)} "
                    f"samples={cfg.samples} seed={cfg.seed}")
     writer.row(["bin_lo", "bin_hi", "mass", "semicircle_mass"])
-    for i in range(cfg.bins):
-        writer.row([float(bin_edges[i]), float(bin_edges[i + 1]),
-                    float(mass[i]), float(ref_mass[i])])
-    writer.comment(f"mass_total={_fmt(float(mass.sum()))}")
-    writer.comment(f"ks_distance={_fmt(ks_distance)}")
-    writer.close()
+    try:
+        pooled = _spectrum_counts(cfg, edges, progress)
+        total = cfg.samples * cfg.n_dim
+        cdf_bins = pooled[: len(bin_edges)] / total
+        cdf_ks = pooled[len(bin_edges):] / total
+        ks_distance = float(np.abs(cdf_ks - semicircle_cdf(ks_grid)).max())
+        mass = np.diff(cdf_bins)
+        ref_cdf = semicircle_cdf(bin_edges)
+        ref_mass = np.diff(ref_cdf)
+        for i in range(cfg.bins):
+            writer.row([float(bin_edges[i]), float(bin_edges[i + 1]),
+                        float(mass[i]), float(ref_mass[i])])
+        writer.comment(f"mass_total={_fmt(float(mass.sum()))}")
+        writer.comment(f"ks_distance={_fmt(ks_distance)}")
+    except KeyboardInterrupt:
+        writer.comment("INCOMPLETE")
+        print("interrupted; partial CSV flushed", file=sys.stderr)
+        return EXIT_INTERRUPTED
+    finally:
+        writer.close()
     if not quiet:
         print(f"spectrum: KS distance {ks_distance:.5f} -> {cfg.out}")
     return EXIT_OK

@@ -1,14 +1,20 @@
 """CLI contract: config parsing, exit codes, CSV format, determinism."""
 
+import argparse
+import dataclasses
 import subprocess
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bandmoment import cli
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_cli(args):
@@ -97,6 +103,58 @@ class TestConfig:
             out = None
 
         assert cli.build_config(Args()).threads == 3
+
+
+    @pytest.mark.parametrize("key, text", [("xi_grid", "0,0; nan,0.5"),
+                                           ("xi_grid", "0,0; inf,0.5"),
+                                           ("lambda_max", "inf")],
+                             ids=["xi_grid-nan", "xi_grid-inf", "lambda_max-inf"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, key, text):
+        cfg = write_cfg(tmp_path / "c.cfg", f"ensemble = gue\nn_dim = 4\nsamples = 10\n"
+                                            f"{key} = {text}\n")
+        out = tmp_path / "x.csv"
+        assert run_cli(["moment-scan", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert f"invalid config: {key} must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_spectrum_grid_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", "ensemble = gue\nn_dim = 4\nsamples = 10\n"
+                                            "lambda_min = -1e308\nlambda_max = 1e308\n")
+        out = tmp_path / "x.csv"
+        assert run_cli(["spectrum", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert "lambda_min must lie below lambda_max" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_theta_rule_overflow_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", f"ensemble = band\nn_dim = 1{'0' * 400}\n"
+                                            "theta = 1\n")
+        assert run_cli(["moment-scan", "--config", cfg, "--out", str(tmp_path / "x.csv"),
+                        "--quiet"]) == 2
+        assert "invalid config: n_dim is too large" in capsys.readouterr().err
+
+    def test_unknown_keys_exit_2(self, tmp_path, capsys):
+        # misspelled keys must not fall back to the defaults (10 000 samples, seed 1)
+        cfg = write_cfg(tmp_path / "c.cfg", BASE_SCAN.replace("samples = 2000", "sample = 200")
+                                                     .replace("seed = 42", "sed = 3"))
+        out = tmp_path / "x.csv"
+        assert run_cli(["moment-scan", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert "invalid config: unknown config key(s): sample, sed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_readme_example_config_parses(self, tmp_path):
+        example = README.read_text().split("Example scan config:", 1)[1]
+        example = example.split("```ini\n", 1)[1].split("```", 1)[0]
+        cfg = cli.build_config(argparse.Namespace(
+            config=write_cfg(tmp_path / "scan.cfg", example),
+            seed=None, threads=None, samples=None, out=None))
+        assert (cfg.ensemble, cfg.n_dim, cfg.bandwidth, cfg.theta) == ("band", 64, 64.0, 1.0)
+        assert len(cfg.xi_grid) == 4 and (cfg.samples, cfg.seed) == (20000, 31337)
+
+    def test_readme_lists_every_key_with_its_default(self):
+        text = README.read_text()
+        for f in dataclasses.fields(cli.ExperimentConfig):
+            default = f.metadata["default"]
+            assert f"| `{f.name}` | {f'`{default}`' if default else 'none'}" in text, f.name
 
 
 class TestMomentScan:
@@ -337,3 +395,57 @@ def test_console_entry_point():
                            "--quiet"], capture_output=True)
     assert proc.returncode == 0
     assert proc.stdout == b""
+
+
+def test_scan_reports_samples_used_and_rejected(tmp_path, monkeypatch):
+    from bandmoment import moments as mo
+
+    char_det_many = mo.charpoly.char_det_many
+
+    def reject_some(d, e2, lams):
+        # rows picked by the sample's own bits, so the same rows at any thread count
+        signs, logs = char_det_many(d, e2, lams)
+        logs[d[:, 0] > 0] = np.nan
+        return signs, logs
+
+    monkeypatch.setattr(mo.charpoly, "char_det_many", reject_some)
+    monkeypatch.setattr(mo, "_CHUNK", 64)
+    cfg = write_cfg(tmp_path / "c.cfg", BASE_SCAN.replace("samples = 2000", "samples = 500"))
+    blobs = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}.csv"
+        assert run_cli(["moment-scan", "--config", cfg, "--out", str(out),
+                        "--threads", str(threads), "--quiet"]) == 0
+        blobs.append(out.read_bytes())
+    assert blobs[0] == blobs[1]
+    last = blobs[0].decode().splitlines()[-1]
+    assert last.startswith("# samples_used=")
+    kept, rejected = (int(field.split("=")[1]) for field in last[2:].split())
+    assert kept + rejected == 500 and 50 < rejected < 450
+
+
+def test_spectrum_unwritable_output_exits_before_sampling(tmp_path, monkeypatch, capsys):
+    from bandmoment import moments as mo
+
+    def never(*args, **kwargs):
+        raise AssertionError("sampled before the output was opened")
+
+    monkeypatch.setattr(mo, "tridiagonal_block", never)
+    cfg = write_cfg(tmp_path / "c.cfg", "ensemble = gue\nn_dim = 4\nsamples = 10\n")
+    out = str(tmp_path / "missing" / "x.csv")
+    assert run_cli(["spectrum", "--config", cfg, "--out", out, "--quiet"]) == 2
+    assert f"invalid config: cannot write {out}" in capsys.readouterr().err
+
+
+def test_spectrum_interrupt_flushes_incomplete_trailer(tmp_path, monkeypatch):
+    from bandmoment import moments as mo
+
+    def boom(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(mo, "tridiagonal_block", boom)
+    cfg = write_cfg(tmp_path / "c.cfg", "ensemble = gue\nn_dim = 4\nsamples = 10\n")
+    out = tmp_path / "spectrum.csv"
+    assert run_cli(["spectrum", "--config", cfg, "--out", str(out), "--quiet"]) == 130
+    lines = out.read_text().splitlines()
+    assert lines[-2:] == ["bin_lo,bin_hi,mass,semicircle_mass", "# INCOMPLETE"]
