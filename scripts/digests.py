@@ -10,10 +10,11 @@ shapes the acceptance criteria scan:
 - `moment_scan` GUE n = 5, seed 7, and band n = W = 16, seed 5, 20 000 samples;
 - every `mc_f2` field of the three n <= 3 oracle cases at 10^6 samples;
 - the `spectrum` CSV at band n = 1000, W = 100, seed 424242, 10 samples;
-- the stdout of `bandmoment verify all`.
+- the stdout of `bandmoment verify <suite>`, one line per suite, so that a
+  change to one suite shows the others unchanged.
 
 Every scan is at lambda0 = 0 over the pairs (d/2, -d/2), d in
-{0.25, 0.5, 1, 1.5}.  It takes about 25 s on a 2-vCPU x86_64 VM.
+{0.25, 0.5, 1, 1.5}.  It takes about 15 s on a 2-vCPU x86_64 VM.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from bandmoment import cli, moments  # noqa: E402
+from bandmoment import cli, moments, verify  # noqa: E402
 
 PAIRS = [(d / 2, -d / 2) for d in (0.25, 0.5, 1.0, 1.5)]
 SCANS = (  # name, ensemble, n, W, seed, samples, threads
@@ -70,10 +71,11 @@ def main() -> None:
         code = cli.main(["spectrum", "--config", str(cfg), "--out", str(out), "--quiet"])
         print("spectrum_n1000", sha(out.read_bytes()) if code == 0 else f"exit-{code}")
 
-    stdout = io.StringIO()
-    with contextlib.redirect_stdout(stdout):
-        code = cli.main(["verify", "all"])
-    print("verify_all", sha(stdout.getvalue()) if code == 0 else f"exit-{code}")
+    for suite in verify.SUITES:
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = cli.main(["verify", suite])
+        print(f"verify_{suite}", sha(stdout.getvalue()) if code == 0 else f"exit-{code}")
 
 
 if __name__ == "__main__":

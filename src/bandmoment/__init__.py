@@ -4,7 +4,7 @@ evaluation, moment estimation with sine-kernel comparison, the dual Hermitian-
 field representation, and the supporting closed-form toolkits."""
 
 from .charpoly import tridiagonalize
-from .dualrep import AccuracyError, DualMcEstimate, QuadratureGrid, dual_f2_n1, dual_f2_n2_mc
+from .dualrep import dual_f2
 from .lattice import (
     CovarianceProfile,
     Lattice1D,
@@ -42,13 +42,10 @@ from .unitary import haar_u2_batch, hciz_2x2, v12_moment
 __version__ = "0.1.0"
 
 __all__ = [
-    "AccuracyError",
     "CovarianceProfile",
-    "DualMcEstimate",
     "EstimatorError",
     "Lattice1D",
     "MomentEstimate",
-    "QuadratureGrid",
     "RatioResult",
     "RngStream",
     "SaddleData",
@@ -58,8 +55,7 @@ __all__ = [
     "charpoly_pinned",
     "charpoly_pinned_closed",
     "covariance_profile",
-    "dual_f2_n1",
-    "dual_f2_n2_mc",
+    "dual_f2",
     "green_diag",
     "gue_profile",
     "haar_u2_batch",

@@ -83,6 +83,7 @@ class ExperimentConfig:
 
 def _parse_kv_file(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, 1):
@@ -91,8 +92,12 @@ def _parse_kv_file(path: str) -> dict[str, str]:
                     continue
                 if "=" not in line:
                     raise ConfigError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-                key, val = line.split("=", 1)
-                values[key.strip()] = val.strip()
+                key, val = (part.strip() for part in line.split("=", 1))
+                if key in lines:
+                    raise ConfigError(f"{path}:{lineno}: key {key!r} is already set on line "
+                                      f"{lines[key]}")
+                lines[key] = lineno
+                values[key] = val
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return values
@@ -127,15 +132,15 @@ def build_config(args: argparse.Namespace) -> ExperimentConfig:
     missing = [key for key in ("n_dim", "out") if vals[key] is None]
     if missing:
         raise ConfigError(f"required key(s) not set: {', '.join(missing)}")
+    if vals["n_dim"] ** 2 >= 2 ** 59:  # 16 bytes per entry, at most 2^63 addressable bytes
+        raise ConfigError("n_dim is too large: numpy cannot address an n_dim x n_dim "
+                          "complex matrix")
     if vals["ensemble"] == "gue":
         vals["bandwidth"] = vals["theta"] = None
     elif (vals["bandwidth"] is None) == (vals["theta"] is None):
         raise ConfigError("band ensemble needs exactly one of bandwidth / theta")
     elif vals["theta"] is not None:
-        try:
-            vals["bandwidth"] = float(round(vals["n_dim"] ** ((1.0 + vals["theta"]) / 2.0)))
-        except OverflowError:
-            raise ConfigError("n_dim is too large for the theta bandwidth rule") from None
+        vals["bandwidth"] = float(round(vals["n_dim"] ** ((1.0 + vals["theta"]) / 2.0)))
     if not 0.0 < vals["lambda_max"] - vals["lambda_min"] < math.inf:
         raise ConfigError("lambda_min must lie below lambda_max, by a finite width")
     return ExperimentConfig(**vals)
@@ -345,6 +350,10 @@ def main(argv=None) -> int:
     except moments.EstimatorError as exc:
         print(f"estimator failure: {exc}", file=sys.stderr)
         return EXIT_ESTIMATOR
+    except MemoryError as exc:
+        print(f"invalid config: the run does not fit in memory; lower n_dim or samples "
+              f"({exc})", file=sys.stderr)
+        return EXIT_BAD_CONFIG
 
 
 if __name__ == "__main__":

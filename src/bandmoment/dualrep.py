@@ -1,171 +1,48 @@
-"""Numerical verification of the dual integral representation of the moment.
+"""The dual Hermitian-field representation of the second mixed moment, evaluated exactly.
 
-The second mixed moment admits an exact rewrite as an integral over one 2x2
-Hermitian field per lattice site:
+The paper rewrites F2(l1, l2) = E[det(l1 - H) det(l2 - H)] over N sites as an
+integral over one 2x2 Hermitian field X_j per site:
 
     F2 = (-1)^N (2 pi^2)^-N det(J)^-2
-         * Int exp{ -(W^2/2) sum_j Tr (X_j - X_{j-1})^2 }
-         * exp{ -(1/2) sum_j Tr (X_j + i M)^2 } prod_j det(X_j - i L0/2) dX_j
+         * Int exp{ -(W^2/2) sum_j Tr (X_j - X_{j-1})^2 - (1/2) sum_j Tr (X_j + i M)^2 }
+         * prod_j det(X_j - i A) dX_j,
 
-with M = L0/2 + xi_hat/(N rho(lambda0)), dX = dX11 dX22 dReX12 dImX12, and
-the global sign coming from det(iX + L) = (-1) det(X - iL) per 2x2 factor.
-At a single site the integral is evaluated exactly by tensor Gauss-type
-quadrature against the exp(-Tr X^2 / 2) envelope; at two sites the Gaussian
-part (including the W^2 neighbour coupling) is the sampling measure of a
-plain Monte Carlo average.
+with diag(l1, l2) = M + A split into a phase part M and a determinant part A
+(the paper takes A = lambda0/2), and dX = dX11 dX22 dReX12 dImX12.  The
+integrand is entire with Gaussian decay, so shifting each diagonal entry
+(X_j)_kk by -i m_k moves the contour without changing the value: the phase
+cancels and both parts recombine into l1 and l2.  The remaining Gaussian is
+normalized by the prefactor, with covariance J = (W^2 K + 1)^-1 in each
+diagonal channel and J/2 in Re and Im of the off-diagonal one, so
+
+    F2 = (-1)^N E[ prod_j ((g_j - i l1)(h_j - i l2) - |c_j|^2) ]
+
+for independent real fields g, h ~ N(0, J) and complex c with Re c, Im c ~
+N(0, J/2).  In whitened variables (g = L z with L L^T = J) the integrand is a
+polynomial of degree at most 2N in each of the 4N standard normals, so the
+tensor Gauss-Hermite rule with N + 1 nodes per variable is exact.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .lattice import Lattice1D, covariance_profile
-from .sampler import RngStream
-from .saddle import semicircle_density
+from .lattice import CovarianceProfile
 
-_CONVERGENCE_STEP = 8
-_CONVERGENCE_TOL = 1e-8
-_MIN_MC_SAMPLES = 10_000
-_MIN_EFFECTIVE_SAMPLES = 100
+MAX_SITES = 2  # the rule has (N+1)^(4N) nodes: 6561 at N = 2, 4^12 at N = 3
 
 
-class AccuracyError(RuntimeError):
-    """Quadrature grid too coarse for the requested point."""
+def dual_f2(lambda1: float, lambda2: float, profile: CovarianceProfile) -> complex:
+    """F2(lambda1, lambda2) from the shifted dual field integral, exact to rounding.
 
-
-@dataclass(frozen=True, eq=False)
-class QuadratureGrid:
-    """Tensor quadrature axes for the 2x2 Hermitian field measure.
-
-    Diagonal entries carry weight exp(-x^2/2); the real and imaginary parts of
-    the off-diagonal entry carry weight exp(-x^2).  Node/weight pairs are
-    exact for polynomials times those envelopes.
+    The imaginary part is zero up to rounding; it is returned as a check.
     """
-
-    nodes_per_dim: int
-    diag_nodes: np.ndarray
-    diag_weights: np.ndarray
-    off_nodes: np.ndarray
-    off_weights: np.ndarray
-
-    @classmethod
-    def build(cls, nodes_per_dim: int) -> "QuadratureGrid":
-        if nodes_per_dim < 2:
-            raise ValueError("nodes_per_dim must be >= 2")
-        xd, wd = np.polynomial.hermite_e.hermegauss(nodes_per_dim)
-        xo, wo = np.polynomial.hermite.hermgauss(nodes_per_dim)
-        grid = cls(nodes_per_dim, xd, wd, xo, wo)
-        if (abs(wd.sum() - math.sqrt(2 * math.pi)) > 1e-12 * math.sqrt(2 * math.pi)
-                or abs(wo.sum() - math.sqrt(math.pi)) > 1e-12 * math.sqrt(math.pi)
-                or (wd <= 0).any() or (wo <= 0).any()):
-            raise AccuracyError("quadrature axes fail the normalization check")
-        return grid
-
-
-def _single_site_sum(grid: QuadratureGrid, m1: float, m2: float, a: float) -> complex:
-    """Tensor sum of the non-Gaussian factor over the 4-d grid (fixed order)."""
-    x1 = grid.diag_nodes[:, None, None, None]
-    x2 = grid.diag_nodes[None, :, None, None]
-    u = grid.off_nodes[None, None, :, None]
-    v = grid.off_nodes[None, None, None, :]
-    w4 = (grid.diag_weights[:, None, None, None]
-          * grid.diag_weights[None, :, None, None]
-          * grid.off_weights[None, None, :, None]
-          * grid.off_weights[None, None, None, :])
-    integrand = np.exp(-1j * (m1 * x1 + m2 * x2)) * ((x1 - 1j * a) * (x2 - 1j * a) - (u * u + v * v))
-    return complex(np.sum(w4 * integrand))
-
-
-def dual_f2_n1(lambda0: float, xi1: float, xi2: float, grid: QuadratureGrid,
-               check_convergence: bool = True) -> complex:
-    """Single-site dual representation of F2, by 4-d tensor quadrature.
-
-    With one site there is no neighbour coupling and det(J)^-2 = 1; the value
-    must equal the direct-ensemble moment at the scaled spectral arguments.
-    Raises AccuracyError when refining the grid by 8 nodes per dimension moves
-    the value by more than 1e-8 (relative to max(1, |value|)).
-    """
-    if not abs(lambda0) < 2.0:
-        raise ValueError(f"lambda0={lambda0} outside the bulk (-2, 2)")
-    rho = semicircle_density(lambda0)
-    m1 = lambda0 / 2.0 + xi1 / rho
-    m2 = lambda0 / 2.0 + xi2 / rho
-    a = lambda0 / 2.0
-    prefactor = -1.0 / (2.0 * math.pi ** 2)
-    gauss_shift = math.exp(0.5 * (m1 * m1 + m2 * m2))
-    value = prefactor * gauss_shift * _single_site_sum(grid, m1, m2, a)
-    if check_convergence:
-        finer = QuadratureGrid.build(grid.nodes_per_dim + _CONVERGENCE_STEP)
-        refined = prefactor * gauss_shift * _single_site_sum(finer, m1, m2, a)
-        if abs(refined - value) > _CONVERGENCE_TOL * max(1.0, abs(value)):
-            raise AccuracyError(
-                f"grid with {grid.nodes_per_dim} nodes/dim has not converged "
-                f"(moved by {abs(refined - value):.3e} on refinement)")
-    return value
-
-
-@dataclass
-class DualMcEstimate:
-    """Monte Carlo estimate of the two-site dual representation."""
-
-    value: complex
-    stderr_real: float
-    stderr_imag: float
-    effective_samples: float
-    samples: int
-
-
-def dual_f2_n2_mc(lambda0: float, xi1: float, xi2: float, W: float,
-                  samples: int, seed: int) -> DualMcEstimate:
-    """Two-site dual representation of F2 by importance-free Monte Carlo.
-
-    The real part of the quadratic form (including the W^2 neighbour
-    coupling) is exactly the Gaussian field measure with per-channel
-    covariance J = (W^2 K + 1)^-1, so sampling that field and averaging the
-    complex remainder evaluates the integral; the (2 pi^2)^-2 det(J)^-2
-    prefactor cancels against the sampling normalization (2 pi^2)^2 det(J)^2.
-    The global sign is (-1)^N = +1 at two sites.
-    """
-    if samples < _MIN_MC_SAMPLES:
-        raise ValueError(f"need at least {_MIN_MC_SAMPLES} samples")
-    if not abs(lambda0) < 2.0:
-        raise ValueError(f"lambda0={lambda0} outside the bulk (-2, 2)")
-    n_sites = 2
-    rho = semicircle_density(lambda0)
-    m1 = lambda0 / 2.0 + xi1 / (n_sites * rho)
-    m2 = lambda0 / 2.0 + xi2 / (n_sites * rho)
-    a = lambda0 / 2.0
-
-    J = covariance_profile(Lattice1D(n_sites), W).J
-    chol_diag = np.linalg.cholesky(J)        # 11 and 22 channels
-    chol_off = np.linalg.cholesky(J / 2.0)   # Re and Im of the 12 channel
-
-    g = RngStream(seed, 0).generator()
-    z = g.standard_normal((4, samples, n_sites))
-    d1 = z[0] @ chol_diag.T   # (X_j)_11 across sites
-    d2 = z[1] @ chol_diag.T   # (X_j)_22
-    u = z[2] @ chol_off.T     # Re (X_j)_12
-    v = z[3] @ chol_off.T     # Im (X_j)_12
-
-    dets = (d1 - 1j * a) * (d2 - 1j * a) - (u * u + v * v)   # (samples, n_sites)
-    phase = np.exp(-1j * (m1 * d1.sum(axis=1) + m2 * d2.sum(axis=1)))
-    remainder = math.exp(n_sites * 0.5 * (m1 * m1 + m2 * m2)) * phase * np.prod(dets, axis=1)
-
-    sign = (-1.0) ** n_sites
-    det_j = float(np.linalg.det(J))
-    prefactor = sign * (2.0 * math.pi ** 2) ** (-n_sites) * det_j ** (-2)
-    gaussian_norm = (2.0 * math.pi ** 2) ** n_sites * det_j ** 2
-    mean = remainder.mean()
-    value = prefactor * gaussian_norm * mean
-
-    scale = abs(prefactor * gaussian_norm)
-    stderr_real = scale * float(remainder.real.std(ddof=1)) / math.sqrt(samples)
-    stderr_imag = scale * float(remainder.imag.std(ddof=1)) / math.sqrt(samples)
-    mags = np.abs(remainder)
-    ess = float(mags.sum() ** 2 / (mags ** 2).sum())
-    if ess < _MIN_EFFECTIVE_SAMPLES:
-        raise AccuracyError(f"effective sample size {ess:.1f} below {_MIN_EFFECTIVE_SAMPLES}")
-    return DualMcEstimate(complex(value), stderr_real, stderr_imag, ess, samples)
+    n = profile.size
+    if n > MAX_SITES:
+        raise ValueError(f"the exact dual rule supports at most {MAX_SITES} sites, got {n}")
+    x, w = np.polynomial.hermite_e.hermegauss(n + 1)
+    idx = np.indices((n + 1,) * (4 * n)).reshape(4 * n, -1).T   # one row per tensor node
+    g, h, u, v = np.moveaxis(x[idx].reshape(-1, 4, n) @ np.linalg.cholesky(profile.J).T, 1, 0)
+    site = (g - 1j * lambda1) * (h - 1j * lambda2) - (u * u + v * v) / 2.0
+    weight = np.prod(w[idx] / w.sum(), axis=1)
+    return (-1) ** n * complex(weight @ np.prod(site, axis=1))

@@ -374,38 +374,24 @@ def suite_oracle(samples: int = 200_000,
 # dual representation
 # ---------------------------------------------------------------------------
 
-def suite_dual(mc_samples: int = 50_000) -> list[CheckResult]:
+def suite_dual() -> list[CheckResult]:
+    """The exact dual field rule against the pairing expansion, at one and two sites."""
     out = []
-    grid = dualrep.QuadratureGrid.build(40)
-    p1 = lattice.covariance_profile(lattice.Lattice1D(1), 1.0)
-    worst = 0.0
-    worst_im = 0.0
-    for l0 in (0.0, 0.5, 1.0):
-        for (x1, x2) in ((0.0, 0.0), (0.5, -0.5), (0.3, -0.2), (0.7, 0.1)):
-            val = dualrep.dual_f2_n1(l0, x1, x2, grid)
-            sp = scaled_lambdas(l0, x1, x2, 1)
-            exact = moments.wick_exact_f2(1, sp.lambda1, sp.lambda2, p1)
-            worst = max(worst, abs(val.real - exact) / abs(exact))
-            worst_im = max(worst_im, abs(val.imag) / max(abs(val.real), 1e-30))
-    out.append(_check_tol("single-site identity, 12 (lambda0, xi) points", worst, 1e-6))
-    out.append(_check_tol("single-site imaginary part (relative)", worst_im, 1e-8))
-
-    v32 = dualrep.dual_f2_n1(1.0, 0.3, -0.2, dualrep.QuadratureGrid.build(32),
-                             check_convergence=False)
-    v40 = dualrep.dual_f2_n1(1.0, 0.3, -0.2, grid, check_convergence=False)
-    v48 = dualrep.dual_f2_n1(1.0, 0.3, -0.2, dualrep.QuadratureGrid.build(48),
-                             check_convergence=False)
-    conv = max(abs(v40 - v32), abs(v48 - v40))
-    out.append(_check_tol("quadrature convergence 32/40/48 nodes", conv, 1e-8))
-
-    est = dualrep.dual_f2_n2_mc(0.0, 0.2, -0.1, 1.0, mc_samples, 7)
-    sp = scaled_lambdas(0.0, 0.2, -0.1, 2)
-    p2 = lattice.covariance_profile(lattice.Lattice1D(2), 1.0)
-    exact = moments.wick_exact_f2(2, sp.lambda1, sp.lambda2, p2)
-    dev = abs(est.value.real - exact) / est.stderr_real
-    out.append(_check("two-site MC vs exact", f"{dev:.2f} se", "<=4 se", dev <= 4))
-    dev_im = abs(est.value.imag) / est.stderr_imag
-    out.append(_check("two-site MC imaginary part", f"{dev_im:.2f} se", "<=4 se", dev_im <= 4))
+    for n, widths in ((1, (1.0,)), (2, (0.7, 1.0, 2.0, 13.0))):
+        worst = worst_im = 0.0
+        for W in widths:
+            prof = lattice.covariance_profile(lattice.Lattice1D(n), W)
+            for l0 in (0.0, 0.5, 1.0):
+                for (x1, x2) in ((0.0, 0.0), (0.5, -0.5), (0.3, -0.2), (0.7, 0.1)):
+                    sp = scaled_lambdas(l0, x1, x2, n)
+                    val = dualrep.dual_f2(sp.lambda1, sp.lambda2, prof)
+                    exact = moments.wick_exact_f2(n, sp.lambda1, sp.lambda2, prof)
+                    worst = max(worst, abs(val.real - exact) / abs(exact))
+                    worst_im = max(worst_im, abs(val.imag) / abs(exact))
+        case = f"N={n}, W={'/'.join(f'{W:g}' for W in widths)}"
+        out.append(_check_tol(f"dual rule vs exact ({case}, 12 (lambda0, xi) points each)",
+                              worst, 1e-12))
+        out.append(_check_tol(f"dual rule imaginary part, relative ({case})", worst_im, 1e-12))
     return out
 
 

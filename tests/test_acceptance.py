@@ -40,7 +40,8 @@ def test_criterion_1_oracle_identity():
 
 
 def test_criterion_2_dual_representation_identity():
-    """Single-site dual field integral equals the exact moment to 1e-6 relative."""
+    """The dual field integral equals the exact moment to 1e-12 relative at one and two
+    sites (two: W in {0.7, 1, 2, 13}), by a Gauss-Hermite rule that is exact there."""
     report_suite(2, verify.suite_dual())
 
 

@@ -141,6 +141,27 @@ class TestConfig:
         assert "invalid config: unknown config key(s): sample, sed" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, text, message", [
+        # numpy refuses the 71 PiB profile at the allocation request, before touching memory
+        ("moment-scan", "ensemble = gue\nn_dim = 100000000\n",
+         "the run does not fit in memory; lower n_dim or samples"),
+        ("spectrum", f"ensemble = band\nbandwidth = 100\nn_dim = {'9' * 401}\n",
+         "n_dim is too large: numpy cannot address"),
+    ], ids=["gue-1e8-scan", "401-digits-spectrum"])
+    def test_unallocatable_n_dim_exits_2(self, tmp_path, capsys, command, text, message):
+        cfg = write_cfg(tmp_path / "c.cfg", text)
+        assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "x.csv"),
+                        "--quiet"]) == 2
+        assert f"invalid config: {message}" in capsys.readouterr().err
+
+    def test_repeated_key_exits_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.cfg", "ensemble = gue\nn_dim = 4\nseed = 3\n"
+                                            "samples = 10\nseed = 5\n")
+        out = tmp_path / "x.csv"
+        assert run_cli(["moment-scan", "--config", cfg, "--out", str(out), "--quiet"]) == 2
+        assert f"{cfg}:5: key 'seed' is already set on line 3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_readme_example_config_parses(self, tmp_path):
         example = README.read_text().split("Example scan config:", 1)[1]
         example = example.split("```ini\n", 1)[1].split("```", 1)[0]
