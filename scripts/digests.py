@@ -6,7 +6,8 @@ Run it on two checkouts and compare the lines: an equal line means the same
 bits.  The outputs are the benchmark's problem shapes and seeds plus the
 shapes the acceptance criteria scan:
 
-- `moment_scan` band n = W = 64, seed 27182, 8192 samples, at 1 and 2 threads;
+- `moment_scan` band n = W = 64, seed 27182, 8192 samples, at 1, 2 and 3
+  threads and at the default thread count (`_tdefault`: the usable CPUs);
 - `moment_scan` GUE n = 5, seed 7, and band n = W = 16, seed 5, 20 000 samples;
 - every `mc_f2` field of the three n <= 3 oracle cases at 10^6 samples;
 - the `spectrum` CSV at band n = 1000, W = 100, seed 424242, 10 samples;
@@ -14,7 +15,7 @@ shapes the acceptance criteria scan:
   change to one suite shows the others unchanged.
 
 Every scan is at lambda0 = 0 over the pairs (d/2, -d/2), d in
-{0.25, 0.5, 1, 1.5}.  It takes about 15 s on a 2-vCPU x86_64 VM.
+{0.25, 0.5, 1, 1.5}.  It takes about 20 s on a 2-vCPU x86_64 VM.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ PAIRS = [(d / 2, -d / 2) for d in (0.25, 0.5, 1.0, 1.5)]
 SCANS = (  # name, ensemble, n, W, seed, samples, threads
     ("scan_band_n64_t1", "band", 64, 64.0, 27182, 8192, 1),
     ("scan_band_n64_t2", "band", 64, 64.0, 27182, 8192, 2),
+    ("scan_band_n64_t3", "band", 64, 64.0, 27182, 8192, 3),
+    ("scan_band_n64_tdefault", "band", 64, 64.0, 27182, 8192, None),
     ("scan_gue_n5", "gue", 5, None, 7, 20_000, 1),
     ("scan_band_n16", "band", 16, 16.0, 5, 20_000, 1),
 )

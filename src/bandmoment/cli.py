@@ -72,7 +72,8 @@ class ExperimentConfig:
         "finite 'xi1,xi2' pairs separated by ';'", "0,0")
     samples: int = _key(int, lambda v: v >= 2, "an integer >= 2", "10000")
     seed: int = _key(int, lambda v: 0 <= v < 2 ** 64, "an integer in [0, 2^64)", "1")
-    threads: int = _key(int, lambda v: v >= 1, "a positive integer", "1")
+    # unset: moment-scan runs on the usable CPUs, spectrum on one thread
+    threads: int | None = _key(int, lambda v: v >= 1, "a positive integer")
     out: str = _key(str, bool, "a path ('-' for stdout)")
     # spectrum-only knobs
     bins: int = _key(int, lambda v: v >= 2, "an integer >= 2", "120")
@@ -218,6 +219,9 @@ def cmd_moment_scan(cfg: ExperimentConfig, quiet: bool) -> int:
         writer.comment("INCOMPLETE")
         print("interrupted; partial CSV flushed", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except MemoryError:
+        writer.comment("INCOMPLETE")  # main reports it (exit 2)
+        raise
     finally:
         writer.close()
     if not quiet:
@@ -240,8 +244,9 @@ def _spectrum_counts(cfg: ExperimentConfig, edges: np.ndarray, progress: _Progre
     """
     profile = (covariance_profile(Lattice1D(cfg.n_dim), cfg.bandwidth)
                if cfg.ensemble == "band" else sampler.gue_profile(cfg.n_dim))
+    threads = cfg.threads or 1  # each worker holds a sample of its own
     run = max(1, min(2 ** 16 // cfg.n_dim ** 2, 2 ** 18 // len(edges),
-                     cfg.samples // (4 * cfg.threads)))
+                     cfg.samples // (4 * threads)))
 
     def count_run(start: int) -> np.ndarray:
         d, e = zip(*(moments.tridiagonal_block(profile, cfg.seed, i, 1)
@@ -255,7 +260,7 @@ def _spectrum_counts(cfg: ExperimentConfig, edges: np.ndarray, progress: _Progre
         np.add(pooled, counts, out=pooled)
         progress.step(min(run, cfg.samples - start))
 
-    moments._run_ordered(count_run, range(0, cfg.samples, run), cfg.threads, add)
+    moments._run_ordered(count_run, range(0, cfg.samples, run), threads, add)
     return pooled
 
 
@@ -288,6 +293,9 @@ def cmd_spectrum(cfg: ExperimentConfig, quiet: bool) -> int:
         writer.comment("INCOMPLETE")
         print("interrupted; partial CSV flushed", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except MemoryError:
+        writer.comment("INCOMPLETE")  # main reports it (exit 2)
+        raise
     finally:
         writer.close()
     if not quiet:
@@ -319,7 +327,8 @@ def _make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="flat key=value config file")
         sp.add_argument("--seed", type=int, default=None, help="64-bit master seed override")
         sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads (default: BANDMOMENT_THREADS or 1)")
+                        help="worker threads (default: BANDMOMENT_THREADS, else the usable "
+                             "CPUs for moment-scan and 1 for spectrum)")
         sp.add_argument("--samples", type=int, default=None, help="sample count override")
         sp.add_argument("--out", default=None, help="output CSV path ('-' for stdout)")
 

@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -34,6 +36,18 @@ from .lattice import CovarianceProfile, Lattice1D, covariance_profile
 from .saddle import SpectralParams, scaled_lambdas, sine_kernel
 
 _CHUNK = 4096          # samples per sampling block of det_log_samples
+# from this order on, tridiagonal_block reduces a block on helper threads too.
+# moment_scan band n = W, 8192 samples, 1 -> 2 workers, median wall and CPU
+# seconds of 5 rounds (3 at n >= 64), 2-vCPU x86_64 VM:
+#   n        16           24           32           48           64           100
+#   wall  0.42->0.48  0.71->0.61  1.15->0.97  2.72->2.08  4.34->3.07  11.05->7.38
+#   CPU   0.41->0.61  0.71->0.85  1.14->1.44  2.68->3.12  4.34->4.90  11.05->11.93
+# Two more runs gave n = 32: wall -27% / -17% at CPU +17% / +27%, and n = 48:
+# -21% / -22% at +16% / +21%.  From n = 48 a second worker saved a larger
+# share of wall time than it added CPU in every run; at n = 32 in one run of
+# three, at n = 16 in none.  At small n the per-sample Python work, which
+# holds the interpreter lock, outweighs the LAPACK call, which releases it.
+_THREADED_N = 48
 _JACKKNIFE_BLOCKS = 50
 _SMALL_N_BATCH = 8     # up to and including this n the vectorized Householder path is used
 _WICK_MAX_N = 3
@@ -175,14 +189,22 @@ class DetLogSamples:
     rejected: int
 
 
-def tridiagonal_block(profile: CovarianceProfile, seed: int, start: int,
-                      count: int) -> tuple[np.ndarray, np.ndarray]:
+def tridiagonal_block(profile: CovarianceProfile, seed: int, start: int, count: int,
+                      threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Tridiagonal forms of the `count` samples of `profile` keyed by RngStream(seed, start).
 
     Returns d (count, n) and e (count, n - 1) >= 0, with n = profile.size.
     A block of more than one sample up to n = _SMALL_N_BATCH is sampled as one
     stack and reduced by the vectorized Householder, whose numpy overhead only
-    pays across a stack; otherwise each sample is reduced in place by LAPACK.
+    pays across a stack, on the calling thread.  Otherwise the calling thread
+    draws the block's real parts (`sampler.UpperBlock`), and from order
+    `_THREADED_N` on up to `threads` workers (the calling thread and helper
+    threads) claim its runs of samples, each writing a sample into its own
+    buffer and reducing it in place by LAPACK.  The claims draw the stream in
+    sample order, so the bits do not depend on `threads`, and the block is in
+    memory once whatever `threads` is.  An exception in a helper stops the
+    other workers at their next claim and is re-raised here; so is one on the
+    calling thread (Ctrl-C included), once the helpers have stopped.
     """
     n = profile.size
     stream = sampler.RngStream(seed, start)
@@ -190,10 +212,50 @@ def tridiagonal_block(profile: CovarianceProfile, seed: int, start: int,
         return charpoly.tridiagonalize_batch(sampler.sample_batch(profile, stream, count))
     d = np.empty((count, n))
     e = np.empty((count, n - 1))
-    buf = np.empty((n, n), dtype=complex, order="F")
-    for b, H in enumerate(sampler.upper_samples(profile, stream, count, buf)):
-        d[b], e[b] = charpoly.tridiagonalize(H, overwrite_a=True)
+    # the calling thread's buffer comes before the block: in this order the
+    # peak RSS of a spectrum at n = 1000 (one-sample blocks) is 2 MB lower
+    buf = np.zeros((n, n), dtype=complex, order="F")
+    block = sampler.UpperBlock(profile, stream, count)
+
+    def work(buf):
+        z = block.normals()
+        while (run := block.claim(z)) is not None:
+            for j, b in enumerate(run):
+                d[b], e[b] = charpoly.tridiagonalize(block.write(b, z[j], buf),
+                                                     overwrite_a=True)
+
+    errors = []
+
+    def helper():
+        try:
+            work(np.zeros((n, n), dtype=complex, order="F"))
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+            block.close()
+
+    runs = -(-count // block.run)
+    helpers = []
+    try:
+        for _ in range(min(threads, runs) - 1 if n >= _THREADED_N else 0):
+            t = threading.Thread(target=helper, daemon=True)
+            t.start()
+            helpers.append(t)
+        work(buf)
+    finally:
+        block.close()
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[0]
     return d, e
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, the default worker count of `det_log_samples`."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
 
 
 def _run_ordered(fn, items, threads: int, consume) -> None:
@@ -224,9 +286,9 @@ def _run_ordered(fn, items, threads: int, consume) -> None:
             raise
 
 
-def _eval_chunk(profile, lambdas, seed, start, count, signs_out, logs_out):
-    """Fill one fixed block of the output arrays; pure function of its arguments."""
-    d, e = tridiagonal_block(profile, seed, start, count)
+def _eval_chunk(profile, lambdas, seed, start, count, threads, signs_out, logs_out):
+    """Fill one fixed block of the output arrays; its bits do not depend on `threads`."""
+    d, e = tridiagonal_block(profile, seed, start, count, threads)
     s, lg = charpoly.char_det_many(d, e ** 2, lambdas)
     # a NaN sign has a NaN log, so the row it lands on is rejected
     with np.errstate(invalid="ignore"):
@@ -235,15 +297,16 @@ def _eval_chunk(profile, lambdas, seed, start, count, signs_out, logs_out):
 
 
 def det_log_samples(ensemble: str, n: int, W: float | None, lambdas,
-                    samples: int, seed: int, threads: int = 1,
+                    samples: int, seed: int, threads: int | None = None,
                     progress=None) -> DetLogSamples:
     """Evaluate det(lambda - H) in signed-log form for `samples` fresh samples.
 
     Each sample is tridiagonalized once and evaluated at every lambda.  Work
-    is split into fixed 4096-sample blocks keyed by their start index, so the
-    result is bit-identical for any thread count.  `progress(done, total)` is
-    invoked after each completed block (reporting only; does not affect
-    results).
+    is split into fixed 4096-sample blocks keyed by their start index and run
+    one after another, each reduced by `threads` workers (default: the usable
+    CPUs; see `tridiagonal_block`), so the result is bit-identical for any
+    thread count.  `progress(done, total)` is invoked after each completed
+    block (reporting only; does not affect results).
     """
     if samples < 2:
         raise EstimatorError("need at least 2 samples")
@@ -259,18 +322,15 @@ def det_log_samples(ensemble: str, n: int, W: float | None, lambdas,
     else:
         raise ValueError(f"unknown ensemble {ensemble!r}")
 
+    if threads is None:
+        threads = _usable_cpus()
     signs = np.empty((samples, len(lambdas)), dtype=np.int8)
     logs = np.empty((samples, len(lambdas)))
-    jobs = [(start, min(_CHUNK, samples - start)) for start in range(0, samples, _CHUNK)]
-
-    def chunk(job):
-        _eval_chunk(profile, lambdas, seed, job[0], job[1], signs, logs)
-
-    def report(job, _):
+    for start in range(0, samples, _CHUNK):
+        count = min(_CHUNK, samples - start)
+        _eval_chunk(profile, lambdas, seed, start, count, threads, signs, logs)
         if progress is not None:
-            progress(job[0] + job[1], samples)  # blocks are reported in start order
-
-    _run_ordered(chunk, jobs, threads, report)
+            progress(start + count, samples)
 
     # a row is usable if every entry is either finite or an exact-zero marker (-inf);
     # a NaN or +inf log makes the row max fail the comparison
@@ -334,7 +394,8 @@ def _mean_stderr(M: float, u: np.ndarray, rejected: int) -> MomentEstimate:
 
 
 def mc_f2(ensemble: str, n: int, W: float | None, lambda_list,
-          samples: int, seed: int, threads: int = 1) -> dict[tuple[int, int], MomentEstimate]:
+          samples: int, seed: int,
+          threads: int | None = None) -> dict[tuple[int, int], MomentEstimate]:
     """Monte Carlo estimates of E[det(l_a - H) det(l_b - H)] for all pairs a <= b.
 
     Keys are 0-based indices into `lambda_list`.  All pairs share the same
@@ -379,7 +440,7 @@ def _jackknife_ratio(dets: DetLogSamples, a: int, b: int) -> tuple[float, float]
 
 
 def moment_scan(ensemble: str, n: int, W: float | None, lambda0: float,
-                xi_pairs, samples: int, seed: int, threads: int = 1,
+                xi_pairs, samples: int, seed: int, threads: int | None = None,
                 progress=None) -> list[RatioResult]:
     """Normalized moment F2/D2 with its sine-kernel reference for each xi pair of a grid.
 

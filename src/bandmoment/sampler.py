@@ -11,14 +11,14 @@ Random streams are counter-based (Philox): the stream for a given
 bit-reproducible regardless of thread count or call order.  Matrices are
 Hermitian by construction: only the diagonal and upper triangle are used, and
 the lower triangle mirrors it.  `sample_batch` draws two full normal stacks and
-drops their lower triangles; `upper_samples` keeps only the entries it uses.
+drops their lower triangles; `UpperBlock` keeps only the entries it uses.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 import weakref
-from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,7 +27,7 @@ from .lattice import CovarianceProfile
 
 _MASK128 = (1 << 128) - 1
 _MASK64 = (1 << 64) - 1
-_DRAW_PIECE = 1 << 16  # normals per real-part draw in upper_samples: a 512 KiB buffer
+_DRAW_PIECE = 1 << 16  # normals per draw in UpperBlock: a 512 KiB buffer
 
 
 @dataclass(frozen=True)
@@ -127,51 +127,86 @@ def sample_batch(profile: CovarianceProfile, stream: RngStream, count: int) -> n
     return H
 
 
-def upper_samples(profile: CovarianceProfile, stream: RngStream, count: int,
-                  out: np.ndarray) -> Iterator[np.ndarray]:
-    """The samples of `sample_batch`, written one at a time into `out` and yielded.
-
-    `out` is an (n, n) complex array, Fortran-ordered so that LAPACK can
-    reduce it in place.  Each step overwrites its diagonal and upper triangle
-    with the same values `sample_batch(profile, stream, count)[b]` holds
-    there, from the same draws.  The strictly lower triangle and the
-    imaginary part of the diagonal are zeroed once, before the first sample,
-    and not written again, so `out` is only valid for routines that read the
-    upper triangle (zhetrd with uplo='U').
+class UpperBlock:
+    """The samples of `sample_batch(profile, stream, count)`, drawn so that
+    several threads can write and reduce them at once.
 
     `sample_batch` draws the block's (count, n, n) real-part normals and then
     its imaginary-part ones from one stream, and the ziggurat consumes a
     variable number of words per normal, so no sample's imaginary normals can
-    be reached before every real one is drawn.  The real normals are therefore
-    drawn first, in pieces of at most `_DRAW_PIECE` normals, and of each
-    sample only the n(n+1)/2 that land on or above the diagonal are kept,
-    already scaled: one packed (count, n(n+1)/2) float array, about a quarter
-    of the two stacks.  Each sample's imaginary normals are drawn into a
-    reused buffer just before the sample is yielded.
+    be reached before every real one is drawn.  The constructor therefore
+    draws the real normals first, in pieces of at most `_DRAW_PIECE` normals,
+    and keeps of each sample only the n(n+1)/2 that land on or above the
+    diagonal, already scaled: one packed (count, n(n+1)/2) float array, about
+    a quarter of the two stacks.
+
+    The imaginary normals are then drawn `run` samples at a time, `run` the
+    samples of one real-part piece: `claim` draws the next run's normals
+    from the stream under a lock, so runs go out in sample order whichever
+    thread claims them, and `write` turns one sample's normals into the
+    sample, outside the lock.  `close` makes every later claim return None.
     """
-    n = profile.size
-    src, dst, sd = _upper_entries(profile)
-    strict = len(src) - n    # the imaginary parts: entries above the diagonal
-    flat = np.reshape(out, -1, order="F", copy=False).view(np.float64)
-    g = stream.generator()
-    piece = max(1, min(count, _DRAW_PIECE // (n * n)))
-    z = np.empty((piece, n * n))
-    real = np.empty((count, len(src)))
-    # indices are in range by construction; mode="clip" skips numpy's buffered check
-    for b in range(0, count, piece):
-        zb = z[:min(piece, count - b)]
-        g.standard_normal(out=zb)
-        rb = real[b:b + len(zb)]
-        np.take(zb, src, axis=1, out=rb, mode="clip")
-        rb *= sd
-    src, sd, dst_imag = src[:strict], sd[:strict], dst[:strict]
-    flat_imag = flat[1:]     # the imaginary part sits one place after the real part
-    out[...] = 0.0
-    for r in real:
-        flat[dst] = r
-        imag = r[:strict]    # the row is spent once written: it takes the imaginary parts
-        g.standard_normal(out=z[0])
-        np.take(z[0], src, out=imag, mode="clip")
-        imag *= sd
-        flat_imag[dst_imag] = imag
-        yield out
+
+    def __init__(self, profile: CovarianceProfile, stream: RngStream, count: int):
+        n = self.n = profile.size
+        src, self._dst, sd = _upper_entries(profile)
+        self._g = stream.generator()
+        self.run = max(1, min(count, _DRAW_PIECE // (n * n)))
+        z = self.normals()
+        self._real = np.empty((count, len(src)))
+        # indices are in range by construction; mode="clip" skips numpy's buffered check
+        for b in range(0, count, self.run):
+            zb = z[:min(self.run, count - b)]
+            self._g.standard_normal(out=zb)
+            rb = self._real[b:b + len(zb)]
+            np.take(zb, src, axis=1, out=rb, mode="clip")
+            rb *= sd
+        strict = len(src) - n    # the imaginary parts: entries above the diagonal
+        self._src_imag, self._sd_imag = src[:strict], sd[:strict]
+        self._dst_imag = self._dst[:strict]
+        self._next = 0
+        self._lock = threading.Lock()
+
+    def normals(self) -> np.ndarray:
+        """A fresh buffer for one run's normals, (run, n * n)."""
+        return np.empty((self.run, self.n * self.n))
+
+    def claim(self, z: np.ndarray) -> range | None:
+        """Draw the imaginary normals of the next run into `z`; the run's sample indices.
+
+        None once every sample is claimed or the block is closed.
+        """
+        with self._lock:
+            first = self._next
+            k = min(self.run, len(self._real) - first)
+            if k <= 0:
+                return None
+            self._g.standard_normal(out=z[:k])
+            self._next = first + k
+        return range(first, first + k)
+
+    def close(self) -> None:
+        """Let no further run be claimed."""
+        with self._lock:
+            self._next = len(self._real)
+
+    def write(self, b: int, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Write sample b into `out`, from `z`, the row of its claim's normals; return `out`.
+
+        `out` is an (n, n) complex array, Fortran-ordered so that LAPACK can
+        reduce it in place.  Its diagonal and upper triangle get the values
+        `sample_batch(profile, stream, count)[b]` holds there, which is all
+        zhetrd with uplo='U' reads.  Its strictly lower triangle and the
+        imaginary part of its diagonal are never written: a buffer made by
+        `np.zeros` holds the sample's upper half after every write.  Sample
+        b's packed real row is spent: it now holds the imaginary parts.
+        """
+        flat = np.reshape(out, -1, order="F", copy=False).view(np.float64)
+        r = self._real[b]
+        flat[self._dst] = r
+        imag = r[:len(self._src_imag)]
+        np.take(z, self._src_imag, out=imag, mode="clip")
+        imag *= self._sd_imag
+        flat[1:][self._dst_imag] = imag  # the imaginary part sits one place after the real part
+        return out
+

@@ -350,7 +350,7 @@ def test_interrupt_in_progress_cancels_queued_work(tmp_path, monkeypatch, comman
 
     started = []
     if command == "moment-scan":
-        def fake_chunk(profile, lambdas, seed, start, count, signs, logs):
+        def fake_chunk(profile, lambdas, seed, start, count, threads, signs, logs):
             started.append(start)
             time.sleep(0.05)
 
@@ -390,6 +390,50 @@ def test_interrupt_flushes_incomplete_trailer(tmp_path, monkeypatch):
     code = run_cli(["moment-scan", "--config", cfg, "--out", str(out), "--quiet"])
     assert code == 130
     assert out.read_text().rstrip().endswith("# INCOMPLETE")
+
+
+@pytest.mark.parametrize("command", ["moment-scan", "spectrum"])
+def test_memory_error_on_a_worker_flushes_incomplete_trailer(tmp_path, monkeypatch, capsys,
+                                                             command):
+    # raised on a helper thread of the shared block (moment-scan) or on a
+    # spectrum worker, and reported by main as exit 2
+    from bandmoment import sampler
+
+    write = sampler.UpperBlock.write
+
+    def fail_off_main(self, *args):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError("no room")
+        return write(self, *args)
+
+    monkeypatch.setattr(sampler.UpperBlock, "write", fail_off_main)
+    cfg = write_cfg(tmp_path / "c.cfg", "ensemble = band\nn_dim = 48\nbandwidth = 48\n"
+                                        "samples = 2000\n")
+    out = tmp_path / "out.csv"
+    assert run_cli([command, "--config", cfg, "--out", str(out), "--threads", "2",
+                    "--quiet"]) == 2
+    assert "does not fit in memory" in capsys.readouterr().err
+    assert out.read_text().splitlines()[-1] == "# INCOMPLETE"
+
+
+def test_threads_default_per_command(tmp_path, monkeypatch):
+    # unset threads: moment-scan takes the library default (the usable CPUs), spectrum 1
+    from bandmoment import moments as mo
+
+    seen = []
+
+    def record(threads):
+        seen.append(threads)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(mo, "moment_scan", lambda *a, threads, progress: record(threads))
+    monkeypatch.setattr(mo, "_run_ordered", lambda fn, items, threads, consume: record(threads))
+    monkeypatch.delenv("BANDMOMENT_THREADS", raising=False)
+    cfg = write_cfg(tmp_path / "c.cfg", BASE_SCAN)
+    for command in ("moment-scan", "spectrum"):
+        assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "x.csv"),
+                        "--quiet"]) == 130
+    assert seen == [None, 1]
 
 
 def test_estimator_failure_exits_3_with_closed_csv(tmp_path, monkeypatch, capsys):

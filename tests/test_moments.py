@@ -1,6 +1,7 @@
 """Moment estimators: exact pairing oracle, Monte Carlo agreement, ratio machinery."""
 
 import math
+import sys
 import threading
 import time
 import tracemalloc
@@ -115,7 +116,7 @@ class TestMcF2:
     def test_failed_block_cancels_queued_blocks(self, monkeypatch):
         started = []
 
-        def fake_chunk(profile, lambdas, seed, start, count, signs, logs):
+        def fake_chunk(profile, lambdas, seed, start, count, threads, signs, logs):
             started.append(start)
             if start == mo._CHUNK:
                 raise RuntimeError("block 1 failed")
@@ -147,6 +148,97 @@ class TestMcF2:
         mo._run_ordered(fn, range(300), threads, consume)
         assert consumed == list(range(300))
         assert ahead <= 2 * threads
+
+
+def helper_threads():
+    return {t for t in threading.enumerate() if t is not threading.main_thread()}
+
+
+class TestSharedBlock:
+    # a block's workers claim runs of samples in order, so the bits do not depend on threads
+    @pytest.mark.parametrize("n", [64, mo._THREADED_N])
+    @pytest.mark.parametrize("samples, chunk", [
+        (5, None),         # one short claim: fewer samples than workers
+        (83, None),        # at n = 64, five 16-sample claims and a short one
+        (83, 40),          # blocks of 40, 40 and 3 samples
+    ])
+    def test_bits_independent_of_threads(self, n, samples, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(mo, "_CHUNK", chunk)
+        before = helper_threads()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more workers than cores, switching often
+        try:
+            runs = [mo.det_log_samples("band", n, float(n), [0.0, 0.3], samples, 11, threads=t)
+                    for t in (1, 2, 3, 8)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert helper_threads() == before
+        for dets in runs[1:]:
+            assert dets.signs.tobytes() == runs[0].signs.tobytes()
+            assert dets.logmags.tobytes() == runs[0].logmags.tobytes()
+
+    @staticmethod
+    def reductions(monkeypatch, fail):
+        """Count reductions; `fail(calls)` may raise, with the calls made so far."""
+        reduce, calls, lock = mo.charpoly.tridiagonalize, [], threading.Lock()
+
+        def fake(H, overwrite_a=False):
+            with lock:
+                calls.append(threading.current_thread())
+            fail(calls)
+            return reduce(H, overwrite_a)
+
+        monkeypatch.setattr(mo.charpoly, "tridiagonalize", fake)
+        return calls
+
+    def test_helper_exception_stops_the_block(self, monkeypatch):
+        def fail(calls):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("helper failed")
+
+        calls = self.reductions(monkeypatch, fail)
+        prof = covariance_profile(Lattice1D(64), 64.0)
+        before = helper_threads()
+        with pytest.raises(RuntimeError, match="helper failed"):
+            mo.tridiagonal_block(prof, 3, 0, 512, threads=2)
+        assert helper_threads() == before
+        assert any(t is not threading.main_thread() for t in calls)
+        assert len(calls) < 512 // 2
+
+    def test_interrupt_on_calling_thread_stops_within_a_claim(self, monkeypatch):
+        main_calls, cut = [], []
+
+        def fail(calls):
+            if threading.current_thread() is threading.main_thread():
+                main_calls.append(1)
+                if len(main_calls) == 20:
+                    cut.append(len(calls))
+                    raise KeyboardInterrupt
+
+        calls = self.reductions(monkeypatch, fail)
+        prof = covariance_profile(Lattice1D(64), 64.0)
+        before = helper_threads()
+        with pytest.raises(KeyboardInterrupt):
+            mo.tridiagonal_block(prof, 3, 0, 512, threads=3)
+        assert helper_threads() == before
+        assert len(calls) > len(main_calls)  # the helpers reduced too
+        # after the interrupt each of the two helpers finishes at most its current claim
+        run = mo.sampler._DRAW_PIECE // 64 ** 2  # samples per claim
+        assert len(calls) - cut[0] <= 2 * run and len(calls) < 512
+
+    def test_two_workers_hold_one_block(self):
+        # the bound of test_sampler's test_block_memory_is_the_packed_real_half for one worker
+        n, count = 64, 512
+        prof = covariance_profile(Lattice1D(n), 64.0)
+        mo.tridiagonal_block(prof, 7, 0, 64, threads=2)  # caches outside the trace
+        tracemalloc.start()
+        try:
+            mo.tridiagonal_block(prof, 7, 0, count, threads=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= count * n * (n + 1) // 2 * 8 + 4 * 2**20
 
 
 class TestDetLogSamples:

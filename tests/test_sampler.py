@@ -130,6 +130,15 @@ class TestUpperEntries:
         assert len(sm._entries_cache) == before
 
 
+def upper_samples(prof, stream, count, buf):
+    """Every sample of an UpperBlock, in order, written into `buf` as one worker writes them."""
+    block = sm.UpperBlock(prof, stream, count)
+    z = block.normals()
+    while (run := block.claim(z)) is not None:
+        for j, b in enumerate(run):
+            yield block.write(b, z[j], buf)
+
+
 class TestUpperSamples:
     @staticmethod
     def upper(X):
@@ -139,26 +148,38 @@ class TestUpperSamples:
     @pytest.mark.parametrize("kind,n", [("band", 9), ("band", 16), ("gue", 12)])
     def test_bitwise_equal_to_sample_batch(self, kind, n):
         prof = covariance_profile(Lattice1D(n), 3.0) if kind == "band" else sm.gue_profile(n)
-        piece = sm._DRAW_PIECE // (n * n)  # samples per real-part draw
+        piece = sm._DRAW_PIECE // (n * n)  # samples per draw
         for count in (5, 2 * piece + 3):
             H = sm.sample_batch(prof, sm.RngStream(61, 4096), count)
-            buf = np.full((n, n), np.nan, dtype=complex, order="F")
+            buf = np.zeros((n, n), dtype=complex, order="F")
             seen = 0
-            for b, a in enumerate(sm.upper_samples(prof, sm.RngStream(61, 4096), count, buf)):
+            for b, a in enumerate(upper_samples(prof, sm.RngStream(61, 4096), count, buf)):
                 assert a is buf
                 assert self.upper(a) == self.upper(H[b])
-                assert not np.tril(a, -1).any()
+                assert not np.tril(a, -1).any() and not np.diag(a).imag.any()
                 seen += 1
             assert seen == count
+
+    def test_claims_in_order_and_close(self):
+        prof = covariance_profile(Lattice1D(16), 3.0)
+        block = sm.UpperBlock(prof, sm.RngStream(5), 2 * (sm._DRAW_PIECE // 16 ** 2) + 3)
+        z = block.normals()
+        assert [block.claim(z) for _ in range(4)] == [
+            range(0, block.run), range(block.run, 2 * block.run),
+            range(2 * block.run, 2 * block.run + 3), None]
+        block = sm.UpperBlock(prof, sm.RngStream(5), 100)
+        assert block.claim(z) == range(0, block.run)
+        block.close()
+        assert block.claim(z) is None
 
     def test_block_memory_is_the_packed_real_half(self):
         # a block keeps n(n+1)/2 scaled real normals per sample, no (count, n, n) stack
         n, count = 64, 512
         prof = covariance_profile(Lattice1D(n), 64.0)
-        buf = np.empty((n, n), dtype=complex, order="F")
+        buf = np.zeros((n, n), dtype=complex, order="F")
         tracemalloc.start()
         try:
-            for _ in sm.upper_samples(prof, sm.RngStream(7), count, buf):
+            for _ in upper_samples(prof, sm.RngStream(7), count, buf):
                 pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -168,12 +189,12 @@ class TestUpperSamples:
     def test_single_sample_equals_sample_rbm_and_gue(self):
         n = 11
         prof = covariance_profile(Lattice1D(n), 2.0)
-        buf = np.empty((n, n), dtype=complex, order="F")
+        buf = np.zeros((n, n), dtype=complex, order="F")
         s = sm.RngStream(42, 7)
         gue = sm.gue_profile(n)
-        a = next(sm.upper_samples(prof, s, 1, buf))
+        a = next(upper_samples(prof, s, 1, buf))
         assert self.upper(a) == self.upper(sm.sample_rbm(prof, s))
-        a = next(sm.upper_samples(gue, s, 1, buf))
+        a = next(upper_samples(gue, s, 1, buf))
         assert self.upper(a) == self.upper(sm.sample_rbm(gue, s))
         assert sm.sample_rbm(prof, s).tobytes() == sm.sample_batch(prof, s, 1)[0].tobytes()
         assert sm.sample_rbm(gue, s).tobytes() == sm.sample_batch(gue, s, 1)[0].tobytes()
