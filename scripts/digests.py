@@ -10,7 +10,8 @@ shapes the acceptance criteria scan:
   threads and at the default thread count (`_tdefault`: the usable CPUs);
 - `moment_scan` GUE n = 5, seed 7, and band n = W = 16, seed 5, 20 000 samples;
 - every `mc_f2` field of the three n <= 3 oracle cases at 10^6 samples;
-- the `spectrum` CSV at band n = 1000, W = 100, seed 424242, 10 samples;
+- the `spectrum` CSV at band n = 1000, W = 100, seed 424242, 10 samples, at
+  the default 1 thread and at 2 threads (`_t2`);
 - the stdout of `bandmoment verify <suite>`, one line per suite, so that a
   change to one suite shows the others unchanged.
 
@@ -71,8 +72,10 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "spectrum.cfg", Path(tmp) / "spectrum.csv"
         cfg.write_text(SPECTRUM_CFG, encoding="utf-8")
-        code = cli.main(["spectrum", "--config", str(cfg), "--out", str(out), "--quiet"])
-        print("spectrum_n1000", sha(out.read_bytes()) if code == 0 else f"exit-{code}")
+        for name, flags in (("spectrum_n1000", []), ("spectrum_n1000_t2", ["--threads", "2"])):
+            code = cli.main(["spectrum", "--config", str(cfg), "--out", str(out), "--quiet",
+                             *flags])
+            print(name, sha(out.read_bytes()) if code == 0 else f"exit-{code}")
 
     for suite in verify.SUITES:
         stdout = io.StringIO()

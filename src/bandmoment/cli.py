@@ -154,10 +154,13 @@ def _fmt(x) -> str:
 
 
 class _CsvWriter:
-    """Comma-separated output with '#' metadata lines; '-' writes to stdout."""
+    """Comma-separated output with '#' metadata lines; '-' writes to stdout.
+
+    As a context manager it closes the output, after a `# INCOMPLETE` trailer
+    if the run was interrupted or ran out of memory; `main` reports the error.
+    """
 
     def __init__(self, path: str):
-        self.path = path
         try:
             self._fh = (sys.stdout if path == "-"
                         else open(path, "w", encoding="utf-8", newline="\n"))
@@ -175,6 +178,16 @@ class _CsvWriter:
             self._fh.close()
         else:
             self._fh.flush()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, exc, tb):
+        if kind is not None and issubclass(kind, (KeyboardInterrupt, MemoryError)):
+            self.comment("INCOMPLETE")  # main reports it (exit 130 or 2)
+            if kind is KeyboardInterrupt:
+                print("interrupted; partial CSV flushed", file=sys.stderr)
+        self.close()
 
 
 class _Progress:
@@ -196,17 +209,16 @@ class _Progress:
 
 
 def cmd_moment_scan(cfg: ExperimentConfig, quiet: bool) -> int:
-    writer = _CsvWriter(cfg.out)
     bandwidth_out = cfg.bandwidth if cfg.bandwidth is not None else math.inf
-    writer.comment("bandmoment moment-scan")
-    writer.comment(f"ensemble={cfg.ensemble} lambda0={_fmt(cfg.lambda0)}")
-    if cfg.theta is not None:
-        writer.comment(f"bandwidth_rule=round(n_dim^((1+theta)/2)) theta={_fmt(cfg.theta)} "
-                       f"bandwidth={_fmt(cfg.bandwidth)}")
-    writer.row(["xi1", "xi2", "ratio", "stderr", "sine_ref", "deviation",
-                "n_dim", "bandwidth", "samples", "seed"])
     progress = _Progress("moment-scan", cfg.samples, quiet)
-    try:
+    with _CsvWriter(cfg.out) as writer:
+        writer.comment("bandmoment moment-scan")
+        writer.comment(f"ensemble={cfg.ensemble} lambda0={_fmt(cfg.lambda0)}")
+        if cfg.theta is not None:
+            writer.comment(f"bandwidth_rule=round(n_dim^((1+theta)/2)) "
+                           f"theta={_fmt(cfg.theta)} bandwidth={_fmt(cfg.bandwidth)}")
+        writer.row(["xi1", "xi2", "ratio", "stderr", "sine_ref", "deviation",
+                    "n_dim", "bandwidth", "samples", "seed"])
         results = moments.moment_scan(
             cfg.ensemble, cfg.n_dim, cfg.bandwidth, cfg.lambda0, cfg.xi_grid,
             cfg.samples, cfg.seed, threads=cfg.threads,
@@ -215,15 +227,6 @@ def cmd_moment_scan(cfg: ExperimentConfig, quiet: bool) -> int:
             writer.row([r.params.xi1, r.params.xi2, r.ratio, r.stderr, r.sine_ref,
                         r.deviation, cfg.n_dim, bandwidth_out, cfg.samples, cfg.seed])
         writer.comment(f"samples_used={results[0].samples} rejected={results[0].rejected}")
-    except KeyboardInterrupt:
-        writer.comment("INCOMPLETE")
-        print("interrupted; partial CSV flushed", file=sys.stderr)
-        return EXIT_INTERRUPTED
-    except MemoryError:
-        writer.comment("INCOMPLETE")  # main reports it (exit 2)
-        raise
-    finally:
-        writer.close()
     if not quiet:
         print(f"moment-scan: {len(cfg.xi_grid)} rows -> {cfg.out}")
     return EXIT_OK
@@ -232,36 +235,46 @@ def cmd_moment_scan(cfg: ExperimentConfig, quiet: bool) -> int:
 def _spectrum_counts(cfg: ExperimentConfig, edges: np.ndarray, progress: _Progress) -> np.ndarray:
     """Pooled eigenvalue counts below each edge, summed over all samples.
 
-    Each task reduces a run of consecutive samples and counts them as one
-    stack: one sample at n = 4 takes ~170 us, too little to pay for handing it
-    to a worker, and a Sturm count per sample is mostly interpreter overhead,
-    which two threads only contend for.  A run holds about 2^16 matrix entries
-    and at most 2^18 pivots per step of the count (2 MB), and there are at
-    least 4 runs per thread, so the threads share the work and an error or
-    Ctrl-C stops it early.  Every sample is still keyed by its own index and
-    counted on its own row, and the counts are integers, so the result does
-    not depend on the run length.
+    Up to `threads` workers (`moments._run_workers`; default 1, as each holds
+    a sample of its own) claim runs of consecutive samples from a locked
+    counter and count each run as one stack into totals of their own: one
+    sample at n = 4 takes ~170 us, too little to claim alone, and a Sturm
+    count per sample is mostly interpreter overhead, which two threads only
+    contend for.  A run holds about 2^16 matrix entries and at most 2^18
+    pivots per step of the count (2 MB), and there are at least 4 runs per
+    thread.  Every sample is keyed by its own index and the counts are
+    integers, so their sum depends neither on the run length nor on `threads`.
     """
     profile = (covariance_profile(Lattice1D(cfg.n_dim), cfg.bandwidth)
                if cfg.ensemble == "band" else sampler.gue_profile(cfg.n_dim))
-    threads = cfg.threads or 1  # each worker holds a sample of its own
+    threads = cfg.threads or 1
     run = max(1, min(2 ** 16 // cfg.n_dim ** 2, 2 ** 18 // len(edges),
                      cfg.samples // (4 * threads)))
+    lock, claimed = threading.Lock(), 0
 
-    def count_run(start: int) -> np.ndarray:
-        d, e = zip(*(moments.tridiagonal_block(profile, cfg.seed, i, 1)
-                     for i in range(start, min(start + run, cfg.samples))))
-        return charpoly.count_below_many(np.concatenate(d), np.concatenate(e) ** 2,
-                                         edges).sum(axis=0)
+    def claim() -> range | None:
+        nonlocal claimed
+        with lock:
+            first, claimed = claimed, min(claimed + run, cfg.samples)
+            return range(first, claimed) if first < claimed else None
 
-    pooled = np.zeros(len(edges), dtype=np.int64)
+    def close():
+        nonlocal claimed
+        with lock:
+            claimed = cfg.samples
 
-    def add(start: int, counts: np.ndarray):
-        np.add(pooled, counts, out=pooled)
-        progress.step(min(run, cfg.samples - start))
+    workers = min(threads, -(-cfg.samples // run))
+    pooled = np.zeros((workers, len(edges)), dtype=np.int64)
 
-    moments._run_ordered(count_run, range(0, cfg.samples, run), threads, add)
-    return pooled
+    def work(i):
+        while (samples := claim()) is not None:
+            d, e = zip(*(moments.tridiagonal_block(profile, cfg.seed, b, 1) for b in samples))
+            pooled[i] += charpoly.count_below_many(np.concatenate(d), np.concatenate(e) ** 2,
+                                                   edges).sum(axis=0)
+            progress.step(len(samples))
+
+    moments._run_workers(work, workers, close)
+    return pooled.sum(axis=0)
 
 
 def cmd_spectrum(cfg: ExperimentConfig, quiet: bool) -> int:
@@ -269,35 +282,21 @@ def cmd_spectrum(cfg: ExperimentConfig, quiet: bool) -> int:
     ks_grid = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.ks_points)
     edges = np.concatenate([bin_edges, ks_grid])
     progress = _Progress("spectrum", cfg.samples, quiet)
-    writer = _CsvWriter(cfg.out)
-    writer.comment("bandmoment spectrum")
-    writer.comment(f"ensemble={cfg.ensemble} n_dim={cfg.n_dim} "
-                   f"bandwidth={_fmt(cfg.bandwidth if cfg.bandwidth is not None else math.inf)} "
-                   f"samples={cfg.samples} seed={cfg.seed}")
-    writer.row(["bin_lo", "bin_hi", "mass", "semicircle_mass"])
-    try:
-        pooled = _spectrum_counts(cfg, edges, progress)
-        total = cfg.samples * cfg.n_dim
-        cdf_bins = pooled[: len(bin_edges)] / total
-        cdf_ks = pooled[len(bin_edges):] / total
-        ks_distance = float(np.abs(cdf_ks - semicircle_cdf(ks_grid)).max())
-        mass = np.diff(cdf_bins)
-        ref_cdf = semicircle_cdf(bin_edges)
-        ref_mass = np.diff(ref_cdf)
+    with _CsvWriter(cfg.out) as writer:
+        writer.comment("bandmoment spectrum")
+        writer.comment(f"ensemble={cfg.ensemble} n_dim={cfg.n_dim} bandwidth="
+                       f"{_fmt(cfg.bandwidth if cfg.bandwidth is not None else math.inf)} "
+                       f"samples={cfg.samples} seed={cfg.seed}")
+        writer.row(["bin_lo", "bin_hi", "mass", "semicircle_mass"])
+        cdf = _spectrum_counts(cfg, edges, progress) / (cfg.samples * cfg.n_dim)
+        ks_distance = float(np.abs(cdf[len(bin_edges):] - semicircle_cdf(ks_grid)).max())
+        mass = np.diff(cdf[:len(bin_edges)])
+        ref_mass = np.diff(semicircle_cdf(bin_edges))
         for i in range(cfg.bins):
             writer.row([float(bin_edges[i]), float(bin_edges[i + 1]),
                         float(mass[i]), float(ref_mass[i])])
         writer.comment(f"mass_total={_fmt(float(mass.sum()))}")
         writer.comment(f"ks_distance={_fmt(ks_distance)}")
-    except KeyboardInterrupt:
-        writer.comment("INCOMPLETE")
-        print("interrupted; partial CSV flushed", file=sys.stderr)
-        return EXIT_INTERRUPTED
-    except MemoryError:
-        writer.comment("INCOMPLETE")  # main reports it (exit 2)
-        raise
-    finally:
-        writer.close()
     if not quiet:
         print(f"spectrum: KS distance {ks_distance:.5f} -> {cfg.out}")
     return EXIT_OK
@@ -347,12 +346,8 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return cmd_verify(args.suite, args.quiet)
-        cfg = build_config(args)
-        if args.command == "moment-scan":
-            return cmd_moment_scan(cfg, args.quiet)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg, args.quiet)
-        raise AssertionError(f"unhandled command {args.command}")
+        command = cmd_moment_scan if args.command == "moment-scan" else cmd_spectrum
+        return command(build_config(args), args.quiet)
     except ConfigError as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
@@ -363,6 +358,8 @@ def main(argv=None) -> int:
         print(f"invalid config: the run does not fit in memory; lower n_dim or samples "
               f"({exc})", file=sys.stderr)
         return EXIT_BAD_CONFIG
+    except KeyboardInterrupt:
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -25,8 +25,6 @@ import itertools
 import math
 import os
 import threading
-from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -189,6 +187,40 @@ class DetLogSamples:
     rejected: int
 
 
+def _run_workers(work, threads: int, stop) -> None:
+    """Run work(0) on the calling thread and work(1), ..., work(threads - 1) on helper threads.
+
+    An exception on any worker, Ctrl-C on the calling thread included, calls
+    `stop`, which must make the other workers return at their next claim.
+    Every helper is joined before this returns or raises; an exception on the
+    calling thread wins, else the first from a helper is re-raised.
+    """
+    errors = []
+
+    def helper(i):
+        try:
+            work(i)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+            stop()
+
+    helpers = []
+    try:
+        for i in range(1, threads):
+            t = threading.Thread(target=helper, args=(i,), daemon=True)
+            t.start()
+            helpers.append(t)
+        work(0)
+    except BaseException:
+        stop()
+        raise
+    finally:
+        for t in helpers:
+            t.join()
+    if errors:
+        raise errors[0]
+
+
 def tridiagonal_block(profile: CovarianceProfile, seed: int, start: int, count: int,
                       threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Tridiagonal forms of the `count` samples of `profile` keyed by RngStream(seed, start).
@@ -198,13 +230,11 @@ def tridiagonal_block(profile: CovarianceProfile, seed: int, start: int, count: 
     stack and reduced by the vectorized Householder, whose numpy overhead only
     pays across a stack, on the calling thread.  Otherwise the calling thread
     draws the block's real parts (`sampler.UpperBlock`), and from order
-    `_THREADED_N` on up to `threads` workers (the calling thread and helper
-    threads) claim its runs of samples, each writing a sample into its own
-    buffer and reducing it in place by LAPACK.  The claims draw the stream in
-    sample order, so the bits do not depend on `threads`, and the block is in
-    memory once whatever `threads` is.  An exception in a helper stops the
-    other workers at their next claim and is re-raised here; so is one on the
-    calling thread (Ctrl-C included), once the helpers have stopped.
+    `_THREADED_N` on up to `threads` workers (`_run_workers`) claim its runs
+    of samples in stream order, each writing a sample into its own buffer and
+    reducing it in place by LAPACK: the bits do not depend on `threads`, and
+    the block is in memory once.  An error or Ctrl-C on any worker closes the
+    block, so the others stop at their next claim, and is re-raised here.
     """
     n = profile.size
     stream = sampler.RngStream(seed, start)
@@ -217,36 +247,16 @@ def tridiagonal_block(profile: CovarianceProfile, seed: int, start: int, count: 
     buf = np.zeros((n, n), dtype=complex, order="F")
     block = sampler.UpperBlock(profile, stream, count)
 
-    def work(buf):
+    def work(i):
+        own = buf if i == 0 else np.zeros((n, n), dtype=complex, order="F")
         z = block.normals()
         while (run := block.claim(z)) is not None:
             for j, b in enumerate(run):
-                d[b], e[b] = charpoly.tridiagonalize(block.write(b, z[j], buf),
+                d[b], e[b] = charpoly.tridiagonalize(block.write(b, z[j], own),
                                                      overwrite_a=True)
 
-    errors = []
-
-    def helper():
-        try:
-            work(np.zeros((n, n), dtype=complex, order="F"))
-        except BaseException as exc:  # re-raised on the calling thread
-            errors.append(exc)
-            block.close()
-
     runs = -(-count // block.run)
-    helpers = []
-    try:
-        for _ in range(min(threads, runs) - 1 if n >= _THREADED_N else 0):
-            t = threading.Thread(target=helper, daemon=True)
-            t.start()
-            helpers.append(t)
-        work(buf)
-    finally:
-        block.close()
-        for t in helpers:
-            t.join()
-    if errors:
-        raise errors[0]
+    _run_workers(work, min(threads, runs) if n >= _THREADED_N else 1, block.close)
     return d, e
 
 
@@ -256,34 +266,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform has it
         return os.cpu_count() or 1
-
-
-def _run_ordered(fn, items, threads: int, consume) -> None:
-    """Call consume(item, fn(item)) for every item, in item order, on the calling thread.
-
-    With threads > 1 the fn calls run on that many worker threads, and at most
-    2 * threads items are submitted and not yet consumed, so results do not
-    pile up behind a slow `consume`.  An exception or Ctrl-C, from a worker or
-    from `consume`, cancels the calls still queued and is re-raised once the
-    running ones return.
-    """
-    if threads <= 1:
-        for item in items:
-            consume(item, fn(item))
-        return
-    items = iter(items)
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        try:
-            window = deque((item, ex.submit(fn, item))
-                           for item in itertools.islice(items, 2 * threads))
-            while window:
-                item, f = window.popleft()
-                consume(item, f.result())
-                for item in itertools.islice(items, 1):
-                    window.append((item, ex.submit(fn, item)))
-        except BaseException:
-            ex.shutdown(cancel_futures=True)
-            raise
 
 
 def _eval_chunk(profile, lambdas, seed, start, count, threads, signs_out, logs_out):

@@ -273,16 +273,23 @@ lambda_max = 2.5
 
 
     def test_large_n_thread_count_independent(self, tmp_path):
-        # from n = 400 the two-stage reduction runs; the CSV must not depend on --threads
+        # from n = 400 the two-stage reduction runs; the CSV must not depend on --threads,
+        # also with fewer one-sample runs (3) than workers (8), switching often
         cfg = write_cfg(tmp_path / "c.cfg",
                         "ensemble = band\nn_dim = 400\nbandwidth = 40\nsamples = 3\nseed = 9\n")
-        outs = []
-        for threads in (1, 2):
-            p = tmp_path / f"t{threads}.csv"
-            assert run_cli(["spectrum", "--config", cfg, "--out", str(p),
-                            "--threads", str(threads), "--quiet"]) == 0
-            outs.append(p.read_bytes())
-        assert outs[0] == outs[1]
+        before, outs = helper_threads(), []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for threads in (1, 2, 8):
+                p = tmp_path / f"t{threads}.csv"
+                assert run_cli(["spectrum", "--config", cfg, "--out", str(p),
+                                "--threads", str(threads), "--quiet"]) == 0
+                outs.append(p.read_bytes())
+        finally:
+            sys.setswitchinterval(interval)
+        assert helper_threads() == before
+        assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
 class TestVerifyCommand:
@@ -322,6 +329,10 @@ def test_progress_step_is_thread_safe():
     assert progress.done == 8 * 20_000
 
 
+def helper_threads():
+    return {t for t in threading.enumerate() if t is not threading.main_thread()}
+
+
 def test_spectrum_failure_cancels_queued_samples(tmp_path, monkeypatch):
     from bandmoment import charpoly
 
@@ -336,9 +347,11 @@ def test_spectrum_failure_cancels_queued_samples(tmp_path, monkeypatch):
 
     monkeypatch.setattr(charpoly, "tridiagonalize", fake)
     cfg = write_cfg(tmp_path / "c.cfg", "ensemble = gue\nn_dim = 16\nsamples = 64\nseed = 3\n")
+    before = helper_threads()
     with pytest.raises(RuntimeError, match="sample failed"):
         run_cli(["spectrum", "--config", cfg, "--out", str(tmp_path / "s.csv"),
                  "--threads", "2", "--quiet"])
+    assert helper_threads() == before
     assert len(started) < 64
 
 
@@ -368,13 +381,19 @@ def test_interrupt_in_progress_cancels_queued_work(tmp_path, monkeypatch, comman
         monkeypatch.setattr(charpoly, "tridiagonalize", fake)
         cfg = write_cfg(tmp_path / "c.cfg", "ensemble = gue\nn_dim = 16\nsamples = 64\nseed = 3\n")
 
+    step = cli._Progress.step
+
     def interrupt(self, amount=1):
-        raise KeyboardInterrupt
+        if threading.current_thread() is threading.main_thread():
+            raise KeyboardInterrupt
+        step(self, amount)  # a spectrum helper's run
 
     monkeypatch.setattr(cli._Progress, "step", interrupt)
+    before = helper_threads()
     code = run_cli([command, "--config", cfg, "--out", str(tmp_path / "out.csv"),
                     "--threads", "2", "--quiet"])
     assert code == 130
+    assert helper_threads() == before
     assert 1 <= len(started) < 64
 
 
@@ -427,7 +446,7 @@ def test_threads_default_per_command(tmp_path, monkeypatch):
         raise KeyboardInterrupt
 
     monkeypatch.setattr(mo, "moment_scan", lambda *a, threads, progress: record(threads))
-    monkeypatch.setattr(mo, "_run_ordered", lambda fn, items, threads, consume: record(threads))
+    monkeypatch.setattr(mo, "_run_workers", lambda work, threads, stop: record(threads))
     monkeypatch.delenv("BANDMOMENT_THREADS", raising=False)
     cfg = write_cfg(tmp_path / "c.cfg", BASE_SCAN)
     for command in ("moment-scan", "spectrum"):

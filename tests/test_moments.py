@@ -128,27 +128,6 @@ class TestMcF2:
         assert mo._CHUNK in started
         assert len(started) < 8
 
-    def test_run_ordered_bounds_items_in_flight(self):
-        # a slow consumer holds back submission: at most 2 * threads items run ahead
-        threads, lock = 2, threading.Lock()
-        started, consumed, ahead = 0, [], 0
-
-        def fn(item):
-            nonlocal started, ahead
-            with lock:
-                started += 1
-                ahead = max(ahead, started - len(consumed))
-            return item
-
-        def consume(item, result):
-            time.sleep(0.001)
-            with lock:
-                consumed.append(result)
-
-        mo._run_ordered(fn, range(300), threads, consume)
-        assert consumed == list(range(300))
-        assert ahead <= 2 * threads
-
 
 def helper_threads():
     return {t for t in threading.enumerate() if t is not threading.main_thread()}
