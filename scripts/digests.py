@@ -8,15 +8,17 @@ shapes the acceptance criteria scan:
 
 - `moment_scan` band n = W = 64, seed 27182, 8192 samples, at 1, 2 and 3
   threads and at the default thread count (`_tdefault`: the usable CPUs);
-- `moment_scan` GUE n = 5, seed 7, and band n = W = 16, seed 5, 20 000 samples;
-- every `mc_f2` field of the three n <= 3 oracle cases at 10^6 samples;
+- `moment_scan` GUE n = 5, seed 7, at 1 thread and at the default thread
+  count, and band n = W = 16, seed 5, 20 000 samples;
+- every `mc_f2` field of the three n <= 3 oracle cases at 10^6 samples, at
+  the default thread count and at 1 thread (`_t1`);
 - the `spectrum` CSV at band n = 1000, W = 100, seed 424242, 10 samples, at
   the default 1 thread and at 2 threads (`_t2`);
 - the stdout of `bandmoment verify <suite>`, one line per suite, so that a
   change to one suite shows the others unchanged.
 
 Every scan is at lambda0 = 0 over the pairs (d/2, -d/2), d in
-{0.25, 0.5, 1, 1.5}.  It takes about 20 s on a 2-vCPU x86_64 VM.
+{0.25, 0.5, 1, 1.5}.  It takes about 22 s on a 2-vCPU x86_64 VM.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ SCANS = (  # name, ensemble, n, W, seed, samples, threads
     ("scan_band_n64_t3", "band", 64, 64.0, 27182, 8192, 3),
     ("scan_band_n64_tdefault", "band", 64, 64.0, 27182, 8192, None),
     ("scan_gue_n5", "gue", 5, None, 7, 20_000, 1),
+    ("scan_gue_n5_tdefault", "gue", 5, None, 7, 20_000, None),
     ("scan_band_n16", "band", 16, 16.0, 5, 20_000, 1),
 )
 ORACLE_SEED = 20240101  # each case runs at ORACLE_SEED + n
@@ -61,13 +64,14 @@ def main() -> None:
         print(name, sha("\n".join(fields(r.ratio, r.stderr, r.sine_ref, r.deviation,
                                          r.samples, r.rejected) for r in results)))
 
-    lines = []
-    for n, W, l1, l2 in ORACLE_CASES:
-        est = moments.mc_f2("band", n, W, [l1, l2], 1_000_000, ORACLE_SEED + n)
-        lines += [fields(n, key, e.value, e.stderr, e.samples, e.sign, e.log_abs_value,
-                         e.log_abs_stderr, e.rejected)
-                  for key, e in sorted(est.items())]
-    print("oracle_n3_mc_f2", sha("\n".join(lines)))
+    for name, threads in (("oracle_n3_mc_f2", None), ("oracle_n3_mc_f2_t1", 1)):
+        lines = []
+        for n, W, l1, l2 in ORACLE_CASES:
+            est = moments.mc_f2("band", n, W, [l1, l2], 1_000_000, ORACLE_SEED + n, threads)
+            lines += [fields(n, key, e.value, e.stderr, e.samples, e.sign, e.log_abs_value,
+                             e.log_abs_stderr, e.rejected)
+                      for key, e in sorted(est.items())]
+        print(name, sha("\n".join(lines)))
 
     with tempfile.TemporaryDirectory() as tmp:
         cfg, out = Path(tmp) / "spectrum.cfg", Path(tmp) / "spectrum.csv"

@@ -197,7 +197,8 @@ class _Progress:
         self.quiet = quiet
         self.done = 0
         self.last = time.monotonic()
-        self._lock = threading.Lock()  # callers may step from any thread
+        # callers may step from any thread; reentrant, as `reach` steps under it
+        self._lock = threading.RLock()
 
     def step(self, amount: int = 1):
         with self._lock:
@@ -206,6 +207,11 @@ class _Progress:
             if not self.quiet and now - self.last >= _PROGRESS_INTERVAL:
                 self.last = now
                 print(f"{self.label}: {self.done}/{self.total}", file=sys.stderr)
+
+    def reach(self, done: int):
+        """Step to `done`, a count that only grows, read and stepped under one lock."""
+        with self._lock:
+            self.step(done - self.done)
 
 
 def cmd_moment_scan(cfg: ExperimentConfig, quiet: bool) -> int:
@@ -222,7 +228,7 @@ def cmd_moment_scan(cfg: ExperimentConfig, quiet: bool) -> int:
         results = moments.moment_scan(
             cfg.ensemble, cfg.n_dim, cfg.bandwidth, cfg.lambda0, cfg.xi_grid,
             cfg.samples, cfg.seed, threads=cfg.threads,
-            progress=lambda done, total: progress.step(done - progress.done))
+            progress=lambda done, total: progress.reach(done))
         for r in results:
             writer.row([r.params.xi1, r.params.xi2, r.ratio, r.stderr, r.sine_ref,
                         r.deviation, cfg.n_dim, bandwidth_out, cfg.samples, cfg.seed])
@@ -236,8 +242,8 @@ def _spectrum_counts(cfg: ExperimentConfig, edges: np.ndarray, progress: _Progre
     """Pooled eigenvalue counts below each edge, summed over all samples.
 
     Up to `threads` workers (`moments._run_workers`; default 1, as each holds
-    a sample of its own) claim runs of consecutive samples from a locked
-    counter and count each run as one stack into totals of their own: one
+    a sample of its own) claim runs of consecutive samples (`moments._Claims`)
+    and count each run as one stack into totals of their own: one
     sample at n = 4 takes ~170 us, too little to claim alone, and a Sturm
     count per sample is mostly interpreter overhead, which two threads only
     contend for.  A run holds about 2^16 matrix entries and at most 2^18
@@ -250,30 +256,18 @@ def _spectrum_counts(cfg: ExperimentConfig, edges: np.ndarray, progress: _Progre
     threads = cfg.threads or 1
     run = max(1, min(2 ** 16 // cfg.n_dim ** 2, 2 ** 18 // len(edges),
                      cfg.samples // (4 * threads)))
-    lock, claimed = threading.Lock(), 0
-
-    def claim() -> range | None:
-        nonlocal claimed
-        with lock:
-            first, claimed = claimed, min(claimed + run, cfg.samples)
-            return range(first, claimed) if first < claimed else None
-
-    def close():
-        nonlocal claimed
-        with lock:
-            claimed = cfg.samples
-
+    claims = moments._Claims(cfg.samples, run)
     workers = min(threads, -(-cfg.samples // run))
     pooled = np.zeros((workers, len(edges)), dtype=np.int64)
 
     def work(i):
-        while (samples := claim()) is not None:
+        while (samples := claims.claim()) is not None:
             d, e = zip(*(moments.tridiagonal_block(profile, cfg.seed, b, 1) for b in samples))
             pooled[i] += charpoly.count_below_many(np.concatenate(d), np.concatenate(e) ** 2,
                                                    edges).sum(axis=0)
             progress.step(len(samples))
 
-    moments._run_workers(work, workers, close)
+    moments._run_workers(work, workers, claims.close)
     return pooled.sum(axis=0)
 
 

@@ -15,6 +15,13 @@ mean of one pair's weights; `moment_scan` estimates the normalized moment at
 each pair of a grid, with numerator and both denominator factors from one
 sample set, and errors by leave-one-block-out jackknife over 50 fixed blocks.
 
+Samples come in fixed 4096-sample blocks, each keyed by its start index, so
+no bit depends on which thread runs a block or in what order.  Up to n =
+_SMALL_N_BATCH every worker (`_run_workers`) claims whole blocks and samples
+and reduces each as one stack; above it the blocks run one after another,
+on the calling thread alone below n = _THREADED_N and from there with every
+worker sharing each block (`tridiagonal_block`).
+
 An exact Isserlis-pairing expansion (dimension <= 3) provides the independent
 oracle the Monte Carlo path is validated against.
 """
@@ -187,6 +194,26 @@ class DetLogSamples:
     rejected: int
 
 
+class _Claims:
+    """Consecutive ranges of range(total), `step` long (the last may be shorter),
+    handed out in order under a lock; `close` makes every later claim None."""
+
+    def __init__(self, total: int, step: int):
+        self.total, self.step = total, step
+        self._next = 0
+        self._lock = threading.Lock()
+
+    def claim(self) -> range | None:
+        with self._lock:
+            first = self._next
+            self._next = min(first + self.step, self.total)
+            return range(first, self._next) if first < self._next else None
+
+    def close(self) -> None:
+        with self._lock:
+            self._next = self.total
+
+
 def _run_workers(work, threads: int, stop) -> None:
     """Run work(0) on the calling thread and work(1), ..., work(threads - 1) on helper threads.
 
@@ -228,8 +255,9 @@ def tridiagonal_block(profile: CovarianceProfile, seed: int, start: int, count: 
     Returns d (count, n) and e (count, n - 1) >= 0, with n = profile.size.
     A block of more than one sample up to n = _SMALL_N_BATCH is sampled as one
     stack and reduced by the vectorized Householder, whose numpy overhead only
-    pays across a stack, on the calling thread.  Otherwise the calling thread
-    draws the block's real parts (`sampler.UpperBlock`), and from order
+    pays across a stack, on the calling thread (`det_log_samples` runs such
+    blocks on several threads, one block per worker).  Otherwise the calling
+    thread draws the block's real parts (`sampler.UpperBlock`), and from order
     `_THREADED_N` on up to `threads` workers (`_run_workers`) claim its runs
     of samples in stream order, each writing a sample into its own buffer and
     reducing it in place by LAPACK: the bits do not depend on `threads`, and
@@ -284,11 +312,19 @@ def det_log_samples(ensemble: str, n: int, W: float | None, lambdas,
     """Evaluate det(lambda - H) in signed-log form for `samples` fresh samples.
 
     Each sample is tridiagonalized once and evaluated at every lambda.  Work
-    is split into fixed 4096-sample blocks keyed by their start index and run
-    one after another, each reduced by `threads` workers (default: the usable
-    CPUs; see `tridiagonal_block`), so the result is bit-identical for any
-    thread count.  `progress(done, total)` is invoked after each completed
-    block (reporting only; does not affect results).
+    is split into fixed 4096-sample blocks keyed by their start index, each
+    filling its own rows, so the result is bit-identical for any thread count.
+    `threads` workers (default: the usable CPUs; `_run_workers`) run them.  Up
+    to n = _SMALL_N_BATCH each worker claims the next block in start order
+    (`_Claims`) and samples and reduces it as one stack, so it holds one
+    block's stack and its temporaries.  Above it the blocks run one after
+    another, and from n = _THREADED_N the workers share each one
+    (`tridiagonal_block`).  An error or Ctrl-C on any worker closes the
+    claims, so the others stop after their current block, and is re-raised
+    here.  `progress(done, total)` is invoked after each completed block, one
+    call at a time from whichever worker finished it, with the samples of all
+    blocks completed so far, a count that only grows (reporting only; does not
+    affect results).
     """
     if samples < 2:
         raise EstimatorError("need at least 2 samples")
@@ -308,11 +344,21 @@ def det_log_samples(ensemble: str, n: int, W: float | None, lambdas,
         threads = _usable_cpus()
     signs = np.empty((samples, len(lambdas)), dtype=np.int8)
     logs = np.empty((samples, len(lambdas)))
-    for start in range(0, samples, _CHUNK):
-        count = min(_CHUNK, samples - start)
-        _eval_chunk(profile, lambdas, seed, start, count, threads, signs, logs)
-        if progress is not None:
-            progress(start + count, samples)
+    claims = _Claims(samples, _CHUNK)
+    per_block = n <= _SMALL_N_BATCH  # whole blocks per worker; else one passes `threads` on
+    done, done_lock = 0, threading.Lock()
+
+    def work(i):
+        nonlocal done
+        while (block := claims.claim()) is not None:
+            _eval_chunk(profile, lambdas, seed, block.start, len(block),
+                        1 if per_block else threads, signs, logs)
+            if progress is not None:
+                with done_lock:  # one call at a time, so the count never goes back
+                    done += len(block)
+                    progress(done, samples)
+
+    _run_workers(work, min(threads, -(-samples // _CHUNK)) if per_block else 1, claims.close)
 
     # a row is usable if every entry is either finite or an exact-zero marker (-inf);
     # a NaN or +inf log makes the row max fail the comparison

@@ -204,15 +204,18 @@ class TestMomentScan:
         run_cli(["moment-scan", "--config", cfg, "--out", str(b), "--quiet"])
         assert a.read_bytes() == b.read_bytes()
 
-    def test_thread_count_independent(self, tmp_path):
+    def test_thread_count_independent(self, tmp_path, monkeypatch):
+        from bandmoment import moments as mo
+
+        monkeypatch.setattr(mo, "_CHUNK", 400)  # five blocks, one per worker at a time
         cfg = write_cfg(tmp_path / "c.cfg", BASE_SCAN)
         outs = []
-        for threads in (1, 4, 8):
+        for threads in (1, 2, 4, 8):
             p = tmp_path / f"t{threads}.csv"
             run_cli(["moment-scan", "--config", cfg, "--out", str(p),
                      "--threads", str(threads), "--quiet"])
             outs.append(p.read_bytes())
-        assert outs[0] == outs[1] == outs[2]
+        assert outs[0] == outs[1] == outs[2] == outs[3]
 
     def test_floats_roundtrip_17_digits(self, tmp_path):
         cfg = write_cfg(tmp_path / "c.cfg", BASE_SCAN)
@@ -327,6 +330,30 @@ def test_progress_step_is_thread_safe():
     finally:
         sys.setswitchinterval(interval)
     assert progress.done == 8 * 20_000
+
+
+def test_moment_scan_progress_only_grows(tmp_path, monkeypatch):
+    # blocks finish on eight threads; the CLI's count ends at the samples and never goes back
+    from bandmoment import moments as mo
+
+    monkeypatch.setattr(mo, "_CHUNK", 40)
+    step, seen = cli._Progress.step, []
+
+    def record(self, amount=1):
+        step(self, amount)
+        seen.append(self.done)
+
+    monkeypatch.setattr(cli._Progress, "step", record)
+    cfg = write_cfg(tmp_path / "c.cfg", BASE_SCAN)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        code = run_cli(["moment-scan", "--config", cfg, "--out", str(tmp_path / "s.csv"),
+                        "--threads", "8", "--quiet"])
+    finally:
+        sys.setswitchinterval(interval)
+    assert code == 0
+    assert len(seen) == 50 and seen == sorted(seen) and seen[-1] == 2000
 
 
 def helper_threads():

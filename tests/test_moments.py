@@ -220,6 +220,94 @@ class TestSharedBlock:
         assert peak <= count * n * (n + 1) // 2 * 8 + 4 * 2**20
 
 
+class TestSmallNBlocks:
+    # up to n = _SMALL_N_BATCH each worker samples and reduces whole blocks
+    @pytest.mark.parametrize("n", [1, 3, mo._SMALL_N_BATCH])
+    @pytest.mark.parametrize("samples, chunk", [
+        (100, None),       # one block: fewer blocks than workers
+        (83, 40),          # blocks of 40, 40 and 3 samples
+    ])
+    def test_bits_independent_of_threads(self, n, samples, chunk, monkeypatch):
+        if chunk is not None:
+            monkeypatch.setattr(mo, "_CHUNK", chunk)
+        before = helper_threads()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more workers than cores, switching often
+        try:
+            runs = [mo.det_log_samples("band", n, 2.0, [0.0, 0.3], samples, 11, threads=t)
+                    for t in (1, 2, 3, 8)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert helper_threads() == before
+        for dets in runs[1:]:
+            assert dets.signs.tobytes() == runs[0].signs.tobytes()
+            assert dets.logmags.tobytes() == runs[0].logmags.tobytes()
+
+    @staticmethod
+    def blocks(monkeypatch, fail):
+        """Record each block's start and thread as it begins; `fail(start, started)` may raise."""
+        started, lock = [], threading.Lock()
+
+        def fake_chunk(profile, lambdas, seed, start, count, threads, signs, logs):
+            assert threads == 1  # a block is not shared at small n
+            with lock:
+                started.append((start, threading.current_thread()))
+            fail(start, started)
+            time.sleep(0.05)
+
+        monkeypatch.setattr(mo, "_eval_chunk", fake_chunk)
+        return started
+
+    def test_failed_block_is_reraised_and_stops_the_rest(self, monkeypatch):
+        def fail(start, started):
+            if start == mo._CHUNK:
+                raise RuntimeError("block 1 failed")
+
+        started = self.blocks(monkeypatch, fail)
+        before = helper_threads()
+        with pytest.raises(RuntimeError, match="block 1 failed"):
+            mo.det_log_samples("band", 3, 2.0, [0.0], 8 * mo._CHUNK, 1, threads=2)
+        assert helper_threads() == before
+        assert mo._CHUNK in [s for s, _ in started] and len(started) < 8
+        assert any(t is not threading.main_thread() for _, t in started)
+
+    def test_interrupt_on_calling_thread_stops_the_helpers(self, monkeypatch):
+        cut = []
+
+        def fail(start, started):
+            if threading.current_thread() is threading.main_thread():
+                cut.append(len(started))
+                raise KeyboardInterrupt
+
+        started = self.blocks(monkeypatch, fail)
+        before = helper_threads()
+        with pytest.raises(KeyboardInterrupt):
+            mo.det_log_samples("band", 3, 2.0, [0.0], 64 * mo._CHUNK, 1, threads=3)
+        assert helper_threads() == before
+        # after the interrupt each of the two helpers finishes at most its current block
+        assert len(started) - cut[0] <= 2
+
+    def test_progress_count_only_grows(self, monkeypatch):
+        monkeypatch.setattr(mo, "_CHUNK", 40)
+        reports = []
+
+        def report(done, total):
+            time.sleep(1e-3)  # a slow callback: calls made at once would land out of order
+            reports.append((done, total))
+
+        before = helper_threads()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            mo.det_log_samples("band", 3, 2.0, [0.0], 1003, 5, threads=8, progress=report)
+        finally:
+            sys.setswitchinterval(interval)
+        assert helper_threads() == before
+        done = [d for d, _ in reports]
+        assert len(reports) == 26 and {t for _, t in reports} == {1003}
+        assert all(a < b for a, b in zip(done, done[1:])) and done[-1] == 1003
+
+
 class TestDetLogSamples:
     # per-row (sign, log) at two lambdas; NaN and +inf logs reject their row
     SIGNS = [[1, -1], [np.nan, 1], [1, 1], [0, 1], [1, np.nan], [-1, 1], [1, 1]]
