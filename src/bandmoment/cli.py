@@ -18,14 +18,13 @@ import argparse
 import math
 import os
 import sys
-import threading
 import time
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from . import charpoly, moments, sampler, verify
-from .lattice import Lattice1D, covariance_profile
+from . import moments, sampler, verify
+from .lattice import BandwidthError, Lattice1D, covariance_profile
 from .saddle import semicircle_cdf
 
 EXIT_OK = 0
@@ -191,32 +190,22 @@ class _CsvWriter:
 
 
 class _Progress:
-    def __init__(self, label: str, total: int, quiet: bool):
-        self.label = label
-        self.total = total
-        self.quiet = quiet
-        self.done = 0
+    """A `progress(done, total)` callback: `label: done/total` on stderr, at most
+    every _PROGRESS_INTERVAL seconds.  The library makes one call at a time."""
+
+    def __init__(self, label: str, quiet: bool):
+        self.label, self.quiet = label, quiet
         self.last = time.monotonic()
-        # callers may step from any thread; reentrant, as `reach` steps under it
-        self._lock = threading.RLock()
 
-    def step(self, amount: int = 1):
-        with self._lock:
-            self.done += amount
-            now = time.monotonic()
-            if not self.quiet and now - self.last >= _PROGRESS_INTERVAL:
-                self.last = now
-                print(f"{self.label}: {self.done}/{self.total}", file=sys.stderr)
-
-    def reach(self, done: int):
-        """Step to `done`, a count that only grows, read and stepped under one lock."""
-        with self._lock:
-            self.step(done - self.done)
+    def __call__(self, done: int, total: int):
+        now = time.monotonic()
+        if not self.quiet and now - self.last >= _PROGRESS_INTERVAL:
+            self.last = now
+            print(f"{self.label}: {done}/{total}", file=sys.stderr)
 
 
 def cmd_moment_scan(cfg: ExperimentConfig, quiet: bool) -> int:
     bandwidth_out = cfg.bandwidth if cfg.bandwidth is not None else math.inf
-    progress = _Progress("moment-scan", cfg.samples, quiet)
     with _CsvWriter(cfg.out) as writer:
         writer.comment("bandmoment moment-scan")
         writer.comment(f"ensemble={cfg.ensemble} lambda0={_fmt(cfg.lambda0)}")
@@ -228,61 +217,31 @@ def cmd_moment_scan(cfg: ExperimentConfig, quiet: bool) -> int:
         results = moments.moment_scan(
             cfg.ensemble, cfg.n_dim, cfg.bandwidth, cfg.lambda0, cfg.xi_grid,
             cfg.samples, cfg.seed, threads=cfg.threads,
-            progress=lambda done, total: progress.reach(done))
+            progress=_Progress("moment-scan", quiet))
         for r in results:
             writer.row([r.params.xi1, r.params.xi2, r.ratio, r.stderr, r.sine_ref,
                         r.deviation, cfg.n_dim, bandwidth_out, cfg.samples, cfg.seed])
         writer.comment(f"samples_used={results[0].samples} rejected={results[0].rejected}")
     if not quiet:
-        print(f"moment-scan: {len(cfg.xi_grid)} rows -> {cfg.out}")
+        print(f"moment-scan: {len(cfg.xi_grid)} rows -> {cfg.out}", file=sys.stderr)
     return EXIT_OK
-
-
-def _spectrum_counts(cfg: ExperimentConfig, edges: np.ndarray, progress: _Progress) -> np.ndarray:
-    """Pooled eigenvalue counts below each edge, summed over all samples.
-
-    Up to `threads` workers (`moments._run_workers`; default 1, as each holds
-    a sample of its own) claim runs of consecutive samples (`moments._Claims`)
-    and count each run as one stack into totals of their own: one
-    sample at n = 4 takes ~170 us, too little to claim alone, and a Sturm
-    count per sample is mostly interpreter overhead, which two threads only
-    contend for.  A run holds about 2^16 matrix entries and at most 2^18
-    pivots per step of the count (2 MB), and there are at least 4 runs per
-    thread.  Every sample is keyed by its own index and the counts are
-    integers, so their sum depends neither on the run length nor on `threads`.
-    """
-    profile = (covariance_profile(Lattice1D(cfg.n_dim), cfg.bandwidth)
-               if cfg.ensemble == "band" else sampler.gue_profile(cfg.n_dim))
-    threads = cfg.threads or 1
-    run = max(1, min(2 ** 16 // cfg.n_dim ** 2, 2 ** 18 // len(edges),
-                     cfg.samples // (4 * threads)))
-    claims = moments._Claims(cfg.samples, run)
-    workers = min(threads, -(-cfg.samples // run))
-    pooled = np.zeros((workers, len(edges)), dtype=np.int64)
-
-    def work(i):
-        while (samples := claims.claim()) is not None:
-            d, e = zip(*(moments.tridiagonal_block(profile, cfg.seed, b, 1) for b in samples))
-            pooled[i] += charpoly.count_below_many(np.concatenate(d), np.concatenate(e) ** 2,
-                                                   edges).sum(axis=0)
-            progress.step(len(samples))
-
-    moments._run_workers(work, workers, claims.close)
-    return pooled.sum(axis=0)
 
 
 def cmd_spectrum(cfg: ExperimentConfig, quiet: bool) -> int:
     bin_edges = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.bins + 1)
     ks_grid = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.ks_points)
     edges = np.concatenate([bin_edges, ks_grid])
-    progress = _Progress("spectrum", cfg.samples, quiet)
+    profile = (covariance_profile(Lattice1D(cfg.n_dim), cfg.bandwidth)
+               if cfg.ensemble == "band" else sampler.gue_profile(cfg.n_dim))
     with _CsvWriter(cfg.out) as writer:
         writer.comment("bandmoment spectrum")
         writer.comment(f"ensemble={cfg.ensemble} n_dim={cfg.n_dim} bandwidth="
                        f"{_fmt(cfg.bandwidth if cfg.bandwidth is not None else math.inf)} "
                        f"samples={cfg.samples} seed={cfg.seed}")
         writer.row(["bin_lo", "bin_hi", "mass", "semicircle_mass"])
-        cdf = _spectrum_counts(cfg, edges, progress) / (cfg.samples * cfg.n_dim)
+        counts = moments.spectrum_counts(profile, edges, cfg.samples, cfg.seed, cfg.threads or 1,
+                                         _Progress("spectrum", quiet))
+        cdf = counts / (cfg.samples * cfg.n_dim)
         ks_distance = float(np.abs(cdf[len(bin_edges):] - semicircle_cdf(ks_grid)).max())
         mass = np.diff(cdf[:len(bin_edges)])
         ref_mass = np.diff(semicircle_cdf(bin_edges))
@@ -292,7 +251,7 @@ def cmd_spectrum(cfg: ExperimentConfig, quiet: bool) -> int:
         writer.comment(f"mass_total={_fmt(float(mass.sum()))}")
         writer.comment(f"ks_distance={_fmt(ks_distance)}")
     if not quiet:
-        print(f"spectrum: KS distance {ks_distance:.5f} -> {cfg.out}")
+        print(f"spectrum: KS distance {ks_distance:.5f} -> {cfg.out}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -309,7 +268,8 @@ def _make_parser() -> argparse.ArgumentParser:
     quiet_parent = argparse.ArgumentParser(add_help=False)
     # SUPPRESS so a subparser never clobbers a --quiet given before the subcommand
     quiet_parent.add_argument("--quiet", action="store_true", default=argparse.SUPPRESS,
-                              help="suppress progress and stdout summaries")
+                              help="suppress the progress and summary lines on stderr, "
+                                   "and verify's check lines")
     p = argparse.ArgumentParser(
         prog="bandmoment",
         parents=[quiet_parent],
@@ -342,7 +302,7 @@ def main(argv=None) -> int:
             return cmd_verify(args.suite, args.quiet)
         command = cmd_moment_scan if args.command == "moment-scan" else cmd_spectrum
         return command(build_config(args), args.quiet)
-    except ConfigError as exc:
+    except (ConfigError, BandwidthError) as exc:
         print(f"invalid config: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
     except moments.EstimatorError as exc:

@@ -13,13 +13,17 @@ maximum log magnitude M (`_weights`), so sums of weights stay in double range
 however large the determinants are.  `mc_f2` estimates single moments as the
 mean of one pair's weights; `moment_scan` estimates the normalized moment at
 each pair of a grid, with numerator and both denominator factors from one
-sample set, and errors by leave-one-block-out jackknife over 50 fixed blocks.
+sample set, and errors by leave-one-block-out jackknife over 50 fixed blocks
+(one per sample below 50 samples).  `spectrum_counts` pools eigenvalue counts
+over samples for the spectrum.
 
 Samples come in fixed 4096-sample blocks, each keyed by its start index, so
-no bit depends on which thread runs a block or in what order.  Up to n =
-_SMALL_N_BATCH every worker (`_run_workers`) claims whole blocks and samples
-and reduces each as one stack; above it the blocks run one after another,
-on the calling thread alone below n = _THREADED_N and from there with every
+no bit depends on which thread runs a block or in what order.  Every worker
+loop shares work the same way: it claims the next range in order from one
+locked counter (`_Claims`), which also counts finished work for `progress`.
+Up to n = _SMALL_N_BATCH every worker claims whole blocks and samples and
+reduces each as one stack; above it the blocks run one after another, on
+the calling thread alone below n = _THREADED_N and from there with every
 worker sharing each block (`tridiagonal_block`).
 
 An exact Isserlis-pairing expansion (dimension <= 3) provides the independent
@@ -196,18 +200,34 @@ class DetLogSamples:
 
 class _Claims:
     """Consecutive ranges of range(total), `step` long (the last may be shorter),
-    handed out in order under a lock; `close` makes every later claim None."""
+    handed out in order under one lock; `close` makes every later claim None.
 
-    def __init__(self, total: int, step: int):
-        self.total, self.step = total, step
-        self._next = 0
+    `claim(draw)` also runs `draw(range)` under the lock, so draws from one
+    stream happen in claim order whichever thread claims.  `finish(k)` counts
+    k finished items and calls `progress(done, total)` under the same lock, so
+    the calls never overlap and the count they report only grows.
+    """
+
+    def __init__(self, total: int, step: int, progress=None):
+        self.total, self.step, self._progress = total, step, progress
+        self._next = self._done = 0
         self._lock = threading.Lock()
 
-    def claim(self) -> range | None:
+    def claim(self, draw=None) -> range | None:
         with self._lock:
             first = self._next
             self._next = min(first + self.step, self.total)
-            return range(first, self._next) if first < self._next else None
+            if first == self._next:
+                return None
+            if draw is not None:
+                draw(range(first, self._next))
+            return range(first, self._next)
+
+    def finish(self, count: int) -> None:
+        with self._lock:
+            self._done += count
+            if self._progress is not None:
+                self._progress(self._done, self.total)
 
     def close(self) -> None:
         with self._lock:
@@ -258,11 +278,12 @@ def tridiagonal_block(profile: CovarianceProfile, seed: int, start: int, count: 
     pays across a stack, on the calling thread (`det_log_samples` runs such
     blocks on several threads, one block per worker).  Otherwise the calling
     thread draws the block's real parts (`sampler.UpperBlock`), and from order
-    `_THREADED_N` on up to `threads` workers (`_run_workers`) claim its runs
-    of samples in stream order, each writing a sample into its own buffer and
-    reducing it in place by LAPACK: the bits do not depend on `threads`, and
+    `_THREADED_N` on up to `threads` workers claim its runs of samples in
+    stream order (`_Claims`), each claim drawing its run's imaginary normals
+    under the claim lock; each worker writes a sample into its own buffer and
+    reduces it in place by LAPACK: the bits do not depend on `threads`, and
     the block is in memory once.  An error or Ctrl-C on any worker closes the
-    block, so the others stop at their next claim, and is re-raised here.
+    claims, so the others stop at their next claim, and is re-raised here.
     """
     n = profile.size
     stream = sampler.RngStream(seed, start)
@@ -274,17 +295,18 @@ def tridiagonal_block(profile: CovarianceProfile, seed: int, start: int, count: 
     # peak RSS of a spectrum at n = 1000 (one-sample blocks) is 2 MB lower
     buf = np.zeros((n, n), dtype=complex, order="F")
     block = sampler.UpperBlock(profile, stream, count)
+    claims = _Claims(count, block.run)
 
     def work(i):
         own = buf if i == 0 else np.zeros((n, n), dtype=complex, order="F")
         z = block.normals()
-        while (run := block.claim(z)) is not None:
+        while (run := claims.claim(lambda r: block.draw(z[:len(r)]))) is not None:
             for j, b in enumerate(run):
                 d[b], e[b] = charpoly.tridiagonalize(block.write(b, z[j], own),
                                                      overwrite_a=True)
 
     runs = -(-count // block.run)
-    _run_workers(work, min(threads, runs) if n >= _THREADED_N else 1, block.close)
+    _run_workers(work, min(threads, runs) if n >= _THREADED_N else 1, claims.close)
     return d, e
 
 
@@ -314,17 +336,17 @@ def det_log_samples(ensemble: str, n: int, W: float | None, lambdas,
     Each sample is tridiagonalized once and evaluated at every lambda.  Work
     is split into fixed 4096-sample blocks keyed by their start index, each
     filling its own rows, so the result is bit-identical for any thread count.
-    `threads` workers (default: the usable CPUs; `_run_workers`) run them.  Up
-    to n = _SMALL_N_BATCH each worker claims the next block in start order
+    `threads` workers (default: the usable CPUs) run them.  Up to n =
+    _SMALL_N_BATCH each worker claims the next block in start order
     (`_Claims`) and samples and reduces it as one stack, so it holds one
     block's stack and its temporaries.  Above it the blocks run one after
     another, and from n = _THREADED_N the workers share each one
     (`tridiagonal_block`).  An error or Ctrl-C on any worker closes the
     claims, so the others stop after their current block, and is re-raised
-    here.  `progress(done, total)` is invoked after each completed block, one
-    call at a time from whichever worker finished it, with the samples of all
-    blocks completed so far, a count that only grows (reporting only; does not
-    affect results).
+    here.  `progress(done, total)` is invoked after each completed block,
+    under the claim lock, from whichever worker finished it, with the samples
+    of all blocks completed so far, a count that only grows (reporting only;
+    does not affect results).
     """
     if samples < 2:
         raise EstimatorError("need at least 2 samples")
@@ -344,19 +366,14 @@ def det_log_samples(ensemble: str, n: int, W: float | None, lambdas,
         threads = _usable_cpus()
     signs = np.empty((samples, len(lambdas)), dtype=np.int8)
     logs = np.empty((samples, len(lambdas)))
-    claims = _Claims(samples, _CHUNK)
+    claims = _Claims(samples, _CHUNK, progress)
     per_block = n <= _SMALL_N_BATCH  # whole blocks per worker; else one passes `threads` on
-    done, done_lock = 0, threading.Lock()
 
     def work(i):
-        nonlocal done
         while (block := claims.claim()) is not None:
             _eval_chunk(profile, lambdas, seed, block.start, len(block),
                         1 if per_block else threads, signs, logs)
-            if progress is not None:
-                with done_lock:  # one call at a time, so the count never goes back
-                    done += len(block)
-                    progress(done, samples)
+            claims.finish(len(block))
 
     _run_workers(work, min(threads, -(-samples // _CHUNK)) if per_block else 1, claims.close)
 
@@ -370,6 +387,38 @@ def det_log_samples(ensemble: str, n: int, W: float | None, lambdas,
     if signs.shape[0] < 2:
         raise EstimatorError("all samples rejected")
     return DetLogSamples(lambdas, signs, logs, rejected)
+
+
+def spectrum_counts(profile: CovarianceProfile, edges: np.ndarray, samples: int, seed: int,
+                    threads: int = 1, progress=None) -> np.ndarray:
+    """Eigenvalue counts below each of `edges`, summed over `samples` samples of `profile`.
+
+    Sample b is keyed by RngStream(seed, b).  Up to `threads` workers
+    (default 1: each holds a sample of its own) claim runs of consecutive
+    samples (`_Claims`) and count each run as one stack into totals of their
+    own: a Sturm count of one sample is mostly interpreter overhead, and one
+    sample at n = 4 (~170 us) is too little to claim alone.  A run holds
+    about 2^16 matrix entries and at most 2^18 pivots per step of the count
+    (2 MB), and there are at least 4 runs per thread.  The counts are
+    integers, so their sum depends neither on the run length nor on
+    `threads`.  `progress(done, total)` is called after each run, under the
+    claim lock.
+    """
+    step = max(1, min(2 ** 16 // profile.size ** 2, 2 ** 18 // len(edges),
+                      samples // (4 * threads)))
+    claims = _Claims(samples, step, progress)
+    workers = min(threads, -(-samples // step))
+    pooled = np.zeros((workers, len(edges)), dtype=np.int64)
+
+    def work(i):
+        while (run := claims.claim()) is not None:
+            d, e = zip(*(tridiagonal_block(profile, seed, b, 1) for b in run))
+            pooled[i] += charpoly.count_below_many(np.concatenate(d), np.concatenate(e) ** 2,
+                                                   edges).sum(axis=0)
+            claims.finish(len(run))
+
+    _run_workers(work, workers, claims.close)
+    return pooled.sum(axis=0)
 
 
 def _weights(dets: DetLogSamples, a: int, b: int) -> tuple[float, np.ndarray]:
@@ -450,7 +499,8 @@ def _jackknife_ratio(dets: DetLogSamples, a: int, b: int) -> tuple[float, float]
     ratio = pref * u_ab.mean() / math.sqrt(u_aa.mean() * u_bb.mean())
 
     n = len(u_ab)
-    edges = _block_edges(n, _JACKKNIFE_BLOCKS)
+    # fewer samples than blocks would repeat an edge, and reduceat sums no empty block to 0
+    edges = _block_edges(n, min(_JACKKNIFE_BLOCKS, n))
     sums_ab = np.add.reduceat(u_ab, edges[:-1])
     sums_aa = np.add.reduceat(u_aa, edges[:-1])
     sums_bb = np.add.reduceat(u_bb, edges[:-1])

@@ -17,7 +17,6 @@ drops their lower triangles; `UpperBlock` keeps only the entries it uses.
 from __future__ import annotations
 
 import functools
-import threading
 import weakref
 from dataclasses import dataclass
 
@@ -141,10 +140,10 @@ class UpperBlock:
     a quarter of the two stacks.
 
     The imaginary normals are then drawn `run` samples at a time, `run` the
-    samples of one real-part piece: `claim` draws the next run's normals
-    from the stream under a lock, so runs go out in sample order whichever
-    thread claims them, and `write` turns one sample's normals into the
-    sample, outside the lock.  `close` makes every later claim return None.
+    samples of one real-part piece: `draw` draws the next run's normals from
+    the stream, so the caller must draw the runs one at a time and in sample
+    order (`moments.tridiagonal_block` draws them under its claim lock), and
+    `write` turns one sample's normals into the sample.
     """
 
     def __init__(self, profile: CovarianceProfile, stream: RngStream, count: int):
@@ -164,34 +163,17 @@ class UpperBlock:
         strict = len(src) - n    # the imaginary parts: entries above the diagonal
         self._src_imag, self._sd_imag = src[:strict], sd[:strict]
         self._dst_imag = self._dst[:strict]
-        self._next = 0
-        self._lock = threading.Lock()
 
     def normals(self) -> np.ndarray:
         """A fresh buffer for one run's normals, (run, n * n)."""
         return np.empty((self.run, self.n * self.n))
 
-    def claim(self, z: np.ndarray) -> range | None:
-        """Draw the imaginary normals of the next run into `z`; the run's sample indices.
-
-        None once every sample is claimed or the block is closed.
-        """
-        with self._lock:
-            first = self._next
-            k = min(self.run, len(self._real) - first)
-            if k <= 0:
-                return None
-            self._g.standard_normal(out=z[:k])
-            self._next = first + k
-        return range(first, first + k)
-
-    def close(self) -> None:
-        """Let no further run be claimed."""
-        with self._lock:
-            self._next = len(self._real)
+    def draw(self, z: np.ndarray) -> None:
+        """Draw the imaginary normals of the next len(z) samples into `z`, rows of `normals()`."""
+        self._g.standard_normal(out=z)
 
     def write(self, b: int, z: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Write sample b into `out`, from `z`, the row of its claim's normals; return `out`.
+        """Write sample b into `out`, from `z`, the row of its draw's normals; return `out`.
 
         `out` is an (n, n) complex array, Fortran-ordered so that LAPACK can
         reduce it in place.  Its diagonal and upper triangle get the values

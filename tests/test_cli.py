@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import math
 import subprocess
 import sys
 import threading
@@ -81,6 +82,21 @@ class TestConfig:
         assert run_cli(["moment-scan", "--config", cfg, "--out", str(out), "--quiet"]) == 2
         assert "bandwidth must be positive, with a finite square" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["moment-scan", "spectrum"])
+    @pytest.mark.parametrize("n_dim, bandwidth, shown", [
+        (3, "3e7", "3e+07"),      # J.1 = 1 only to 8e-2
+        (6, "1e8", "1e+08"),      # W^2 + 1 rounds to W^2: the solve breaks down
+        (6, "1e154", "1e+154"),   # W^2 K overflows
+    ])
+    def test_bandwidth_too_large_for_n_dim_exits_2(self, tmp_path, capsys, command, n_dim,
+                                                   bandwidth, shown):
+        cfg = write_cfg(tmp_path / "c.cfg", BASE_SCAN.replace("n_dim = 6", f"n_dim = {n_dim}")
+                        .replace("bandwidth = 3", f"bandwidth = {bandwidth}"))
+        assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "x.csv"),
+                        "--quiet"]) == 2
+        assert (f"invalid config: bandwidth W={shown} is too large for n={n_dim}"
+                in capsys.readouterr().err)
 
     @pytest.mark.parametrize("command", ["moment-scan", "spectrum"])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, command):
@@ -314,13 +330,23 @@ class TestVerifyCommand:
         assert exc.value.code == 2
 
 
-def test_progress_step_is_thread_safe():
-    # more threads than cores and a short switch interval; a lost update breaks the total
-    progress = cli._Progress("stress", 0, quiet=True)
+def test_progress_step_is_thread_safe(monkeypatch):
+    # more threads than cores and a short switch interval finish items under the
+    # library's claim counter; a lost update or an overlapping call breaks the order
+    from bandmoment import moments as mo
+
+    call, seen = cli._Progress.__call__, []
+
+    def record(self, done, total):
+        call(self, done, total)
+        seen.append(done)
+
+    monkeypatch.setattr(cli._Progress, "__call__", record)
+    claims = mo._Claims(8 * 20_000, 1, cli._Progress("stress", quiet=True))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        workers = [threading.Thread(target=lambda: [progress.step() for _ in range(20_000)])
+        workers = [threading.Thread(target=lambda: [claims.finish(1) for _ in range(20_000)])
                    for _ in range(8)]
         for w in workers:
             w.start()
@@ -329,7 +355,7 @@ def test_progress_step_is_thread_safe():
         assert not any(w.is_alive() for w in workers)
     finally:
         sys.setswitchinterval(interval)
-    assert progress.done == 8 * 20_000
+    assert seen == list(range(1, 8 * 20_000 + 1))
 
 
 def test_moment_scan_progress_only_grows(tmp_path, monkeypatch):
@@ -337,13 +363,13 @@ def test_moment_scan_progress_only_grows(tmp_path, monkeypatch):
     from bandmoment import moments as mo
 
     monkeypatch.setattr(mo, "_CHUNK", 40)
-    step, seen = cli._Progress.step, []
+    call, seen = cli._Progress.__call__, []
 
-    def record(self, amount=1):
-        step(self, amount)
-        seen.append(self.done)
+    def record(self, done, total):
+        call(self, done, total)
+        seen.append((done, total))
 
-    monkeypatch.setattr(cli._Progress, "step", record)
+    monkeypatch.setattr(cli._Progress, "__call__", record)
     cfg = write_cfg(tmp_path / "c.cfg", BASE_SCAN)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -353,7 +379,7 @@ def test_moment_scan_progress_only_grows(tmp_path, monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert code == 0
-    assert len(seen) == 50 and seen == sorted(seen) and seen[-1] == 2000
+    assert seen == [(40 * (k + 1), 2000) for k in range(50)]
 
 
 def helper_threads():
@@ -408,14 +434,14 @@ def test_interrupt_in_progress_cancels_queued_work(tmp_path, monkeypatch, comman
         monkeypatch.setattr(charpoly, "tridiagonalize", fake)
         cfg = write_cfg(tmp_path / "c.cfg", "ensemble = gue\nn_dim = 16\nsamples = 64\nseed = 3\n")
 
-    step = cli._Progress.step
+    call = cli._Progress.__call__
 
-    def interrupt(self, amount=1):
+    def interrupt(self, done, total):
         if threading.current_thread() is threading.main_thread():
             raise KeyboardInterrupt
-        step(self, amount)  # a spectrum helper's run
+        call(self, done, total)  # a spectrum helper's run
 
-    monkeypatch.setattr(cli._Progress, "step", interrupt)
+    monkeypatch.setattr(cli._Progress, "__call__", interrupt)
     before = helper_threads()
     code = run_cli([command, "--config", cfg, "--out", str(tmp_path / "out.csv"),
                     "--threads", "2", "--quiet"])
@@ -499,6 +525,20 @@ def test_estimator_failure_exits_3_with_closed_csv(tmp_path, monkeypatch, capsys
     text = out.read_text()
     assert text.splitlines()[-1].startswith("xi1,xi2,ratio,")
     assert "INCOMPLETE" not in text
+
+
+@pytest.mark.parametrize("command", ["moment-scan", "spectrum"])
+def test_stdout_output_is_only_csv(tmp_path, capsys, command):
+    # with --out - and no --quiet, the summary goes to stderr and stdout stays CSV
+    cfg = write_cfg(tmp_path / "c.cfg", BASE_SCAN.replace("samples = 2000", "samples = 200"))
+    assert run_cli([command, "--config", cfg, "--out", "-"]) == 0
+    out, err = capsys.readouterr()
+    lines = [line for line in out.splitlines() if not line.startswith("#")]
+    header, rows = lines[0].split(","), [line.split(",") for line in lines[1:]]
+    assert header[0] in ("xi1", "bin_lo") and len(rows) == (2 if command == "moment-scan" else 120)
+    for row in rows:
+        assert len(row) == len(header) and all(math.isfinite(float(cell)) for cell in row)
+    assert f"{command}: " in err
 
 
 def test_console_entry_point():

@@ -1,6 +1,7 @@
 """Lattice toolkit: chain operators, covariance profile, tridiagonal determinants."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -83,6 +84,20 @@ class TestCovarianceProfile:
             lt.covariance_profile(lt.Lattice1D(3), 0.0)
         with pytest.raises(ValueError, match="infs or NaNs"):
             lt.covariance_profile(lt.Lattice1D(3), math.inf)
+
+    @pytest.mark.parametrize("n, W", [(2, 1e4), (3, 3e7), (64, 7e7), (3, 1e8), (3, 1e154),
+                                      (3, 1e200)])
+    def test_rejects_bandwidth_too_large_for_n(self, n, W):
+        # past 1e-9 drift in J.1, a broken-down solve, or an overflowing operator
+        message = re.escape(f"W={W:g} is too large for n={n}")
+        with pytest.raises(lt.BandwidthError, match=message):
+            lt.covariance_profile(lt.Lattice1D(n), W)
+
+    @pytest.mark.parametrize("W", [1000.0, 1e4])
+    def test_rows_sum_to_one_up_to_the_largest_bandwidths_kept(self, W):
+        # n = W = 1000 is the worst case measured inside the theorem's range
+        J = lt.covariance_profile(lt.Lattice1D(1000), W).J
+        assert np.abs(J.sum(axis=1) - 1.0).max() <= (1e-11 if W <= 1000 else 1e-9)
 
     @pytest.mark.parametrize("W", [0.7, 64.0])
     @pytest.mark.parametrize("n", [2, 3, 64, 1000])

@@ -133,6 +133,70 @@ def helper_threads():
     return {t for t in threading.enumerate() if t is not threading.main_thread()}
 
 
+class TestClaims:
+    # the one work-sharing primitive every worker loop runs on
+    @staticmethod
+    def run_workers(claims, work, threads=8):
+        """Run `work` on `threads` workers at a short switch interval; no helper outlives it."""
+        before = helper_threads()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            mo._run_workers(work, threads, claims.close)
+        finally:
+            sys.setswitchinterval(interval)
+            assert helper_threads() == before
+
+    def test_ranges_in_order_and_close(self):
+        claims = mo._Claims(10, 4)
+        assert [claims.claim() for _ in range(4)] == [range(0, 4), range(4, 8), range(8, 10),
+                                                      None]
+        claims = mo._Claims(10, 4)
+        assert claims.claim() == range(0, 4)
+        claims.close()
+        assert claims.claim() is None
+        assert claims.claim(lambda run: pytest.fail("drew after close")) is None
+
+    def test_draws_run_in_claim_order(self):
+        # draws land in range order however the eight workers interleave
+        claims, drawn, claimed = mo._Claims(20_000, 3), [], []
+
+        def work(i):
+            while (run := claims.claim(drawn.append)) is not None:
+                claimed.append(run)
+
+        self.run_workers(claims, work)
+        assert drawn == [range(b, min(b + 3, 20_000)) for b in range(0, 20_000, 3)]
+        assert sorted(claimed, key=lambda run: run.start) == drawn
+
+    def test_finish_reports_increasing_counts(self):
+        reports = []
+        claims = mo._Claims(20_000, 7, lambda done, total: reports.append((done, total)))
+
+        def work(i):
+            while (run := claims.claim()) is not None:
+                claims.finish(len(run))
+
+        self.run_workers(claims, work)
+        done = [d for d, _ in reports]
+        assert len(reports) == -(-20_000 // 7) and {t for _, t in reports} == {20_000}
+        assert all(a < b for a, b in zip(done, done[1:])) and done[-1] == 20_000
+
+    def test_helper_error_closes_the_claims(self):
+        claims, claimed = mo._Claims(10_000, 1), []
+
+        def work(i):
+            while (run := claims.claim()) is not None:
+                claimed.append(run)
+                if i == 1:
+                    raise RuntimeError("helper failed")
+                time.sleep(1e-4)
+
+        with pytest.raises(RuntimeError, match="helper failed"):
+            self.run_workers(claims, work, threads=2)
+        assert claims.claim() is None and len(claimed) < 10_000
+
+
 class TestSharedBlock:
     # a block's workers claim runs of samples in order, so the bits do not depend on threads
     @pytest.mark.parametrize("n", [64, mo._THREADED_N])
@@ -451,6 +515,21 @@ def test_million_sample_oracle_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 32 * 2**20
+
+
+def test_jackknife_below_fifty_samples_is_delete_one():
+    # with fewer kept samples than jackknife blocks every block is one sample
+    pair = (0.5, -0.5)
+    r = mo.moment_scan("band", 4, 2.0, 0.0, [pair], 10, 3, threads=1)[0]
+    dets = mo.det_log_samples("band", 4, 2.0, [r.params.lambda1, r.params.lambda2], 10, 3,
+                              threads=1)
+    det = dets.signs * np.exp(dets.logmags)
+    ab, aa, bb = det[:, 0] * det[:, 1], det[:, 0] ** 2, det[:, 1] ** 2
+    keep = ~np.eye(10, dtype=bool)
+    theta = np.array([ab[k].mean() / math.sqrt(aa[k].mean() * bb[k].mean()) for k in keep])
+    se = math.sqrt(9 / 10 * float(np.sum((theta - theta.mean()) ** 2)))
+    assert r.ratio == pytest.approx(ab.mean() / math.sqrt(aa.mean() * bb.mean()), rel=1e-12)
+    assert r.stderr == pytest.approx(se, rel=1e-12)
 
 
 class TestRatioVsSine:

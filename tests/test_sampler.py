@@ -134,7 +134,9 @@ def upper_samples(prof, stream, count, buf):
     """Every sample of an UpperBlock, in order, written into `buf` as one worker writes them."""
     block = sm.UpperBlock(prof, stream, count)
     z = block.normals()
-    while (run := block.claim(z)) is not None:
+    for first in range(0, count, block.run):
+        run = range(first, min(first + block.run, count))
+        block.draw(z[:len(run)])
         for j, b in enumerate(run):
             yield block.write(b, z[j], buf)
 
@@ -161,16 +163,27 @@ class TestUpperSamples:
             assert seen == count
 
     def test_claims_in_order_and_close(self):
+        # a block's runs, claimed from the library's claim counter, each draw their normals
+        from bandmoment.moments import _Claims
+
         prof = covariance_profile(Lattice1D(16), 3.0)
-        block = sm.UpperBlock(prof, sm.RngStream(5), 2 * (sm._DRAW_PIECE // 16 ** 2) + 3)
-        z = block.normals()
-        assert [block.claim(z) for _ in range(4)] == [
-            range(0, block.run), range(block.run, 2 * block.run),
-            range(2 * block.run, 2 * block.run + 3), None]
-        block = sm.UpperBlock(prof, sm.RngStream(5), 100)
-        assert block.claim(z) == range(0, block.run)
-        block.close()
-        assert block.claim(z) is None
+        count = 2 * (sm._DRAW_PIECE // 16 ** 2) + 3
+        block = sm.UpperBlock(prof, sm.RngStream(5), count)
+        z, drawn = block.normals(), []
+
+        def draw(run):
+            block.draw(z[:len(run)])
+            drawn.append(run)
+
+        claims = _Claims(count, block.run)
+        runs = [claims.claim(draw) for _ in range(4)]
+        assert runs == [range(0, block.run), range(block.run, 2 * block.run),
+                        range(2 * block.run, 2 * block.run + 3), None]
+        assert drawn == runs[:3]
+        claims = _Claims(count, block.run)
+        assert claims.claim(draw) == range(0, block.run)
+        claims.close()
+        assert claims.claim(draw) is None and len(drawn) == 4
 
     def test_block_memory_is_the_packed_real_half(self):
         # a block keeps n(n+1)/2 scaled real normals per sample, no (count, n, n) stack
