@@ -8,8 +8,8 @@ shapes the acceptance criteria scan:
 
 - `moment_scan` band n = W = 64, seed 27182, 8192 samples, at 1, 2 and 3
   threads and at the default thread count (`_tdefault`: the usable CPUs);
-- `moment_scan` GUE n = 5, seed 7, at 1 thread and at the default thread
-  count, and band n = W = 16, seed 5, 20 000 samples;
+- `moment_scan` GUE n = 5, seed 7, and band n = W = 16, seed 5, 20 000
+  samples, each at 1 thread and at the default thread count;
 - every `mc_f2` field of the three n <= 3 oracle cases at 10^6 samples, at
   the default thread count and at 1 thread (`_t1`);
 - the `spectrum` CSV at band n = 1000, W = 100, seed 424242, 10 samples, at
@@ -18,7 +18,7 @@ shapes the acceptance criteria scan:
   change to one suite shows the others unchanged.
 
 Every scan is at lambda0 = 0 over the pairs (d/2, -d/2), d in
-{0.25, 0.5, 1, 1.5}.  It takes about 22 s on a 2-vCPU x86_64 VM.
+{0.25, 0.5, 1, 1.5}.  It takes about 26 s on a 2-vCPU x86_64 VM.
 """
 
 from __future__ import annotations
@@ -43,6 +43,7 @@ SCANS = (  # name, ensemble, n, W, seed, samples, threads
     ("scan_gue_n5", "gue", 5, None, 7, 20_000, 1),
     ("scan_gue_n5_tdefault", "gue", 5, None, 7, 20_000, None),
     ("scan_band_n16", "band", 16, 16.0, 5, 20_000, 1),
+    ("scan_band_n16_tdefault", "band", 16, 16.0, 5, 20_000, None),
 )
 ORACLE_SEED = 20240101  # each case runs at ORACLE_SEED + n
 ORACLE_CASES = ((1, 1.0, 0.3, -0.2), (2, 1.0, 0.5, -0.3), (3, 2.0, 0.4, -0.1))

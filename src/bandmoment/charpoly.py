@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import ctypes
 import threading
-import weakref
 
 import numpy as np
 
@@ -53,10 +52,10 @@ class _Reduction:
     there it is the two-stage `zhetrd_2stage` (dense to band by blocked
     Householder, then band to tridiagonal by bulge chasing), which does most
     of its work in matrix-matrix products; where the library lacks it, `zhetrd`
-    is used at every order.  The workspace and every ctypes argument are built
-    here, so a loop over many samples of one order pays for them once.  The
-    object holds its buffers across calls, so each thread has its own
-    (`_thread_reduction`).
+    is used at every order.  The workspace and every ctypes argument but the
+    matrix's pointer are built here, so a loop over many samples of one order
+    pays for them once.  The object holds its buffers across calls, so each
+    thread has its own (`_thread_reduction`).
     """
 
     def __init__(self, n: int):
@@ -86,7 +85,6 @@ class _Reduction:
         self._args = args(None, *(ctypes.c_void_p(x.ctypes.data)
                                   for x in (self.d, self.e, *self._buffers)))
         self._a_at = self._args.index(None)
-        self._a = lambda: None   # a weak reference to the array `_args` points at
         self._set_local = _lapack.blas_threads_local()
 
     def __call__(self, a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -96,11 +94,7 @@ class _Reduction:
         only its diagonal and upper triangle are read.  The BLAS of the
         calling thread is set to one thread for the call and put back after.
         """
-        if self._a() is not a:
-            # pointer first: an interrupt between these two lines then leaves
-            # a stale reference, which only costs a recomputed pointer
-            self._args[self._a_at] = ctypes.c_void_p(a.ctypes.data)
-            self._a = weakref.ref(a)
+        self._args[self._a_at] = ctypes.c_void_p(a.ctypes.data)
         set_local = self._set_local
         if set_local is None:
             self._call(*self._args)

@@ -22,9 +22,8 @@ no bit depends on which thread runs a block or in what order.  Every worker
 loop shares work the same way: it claims the next range in order from one
 locked counter (`_Claims`), which also counts finished work for `progress`.
 Up to n = _SMALL_N_BATCH every worker claims whole blocks and samples and
-reduces each as one stack; above it the blocks run one after another, on
-the calling thread alone below n = _THREADED_N and from there with every
-worker sharing each block (`tridiagonal_block`).
+reduces each as one stack; above it the blocks run one after another, with
+every worker sharing each block (`tridiagonal_block`).
 
 An exact Isserlis-pairing expansion (dimension <= 3) provides the independent
 oracle the Monte Carlo path is validated against.
@@ -45,18 +44,6 @@ from .lattice import CovarianceProfile, Lattice1D, covariance_profile
 from .saddle import SpectralParams, scaled_lambdas, sine_kernel
 
 _CHUNK = 4096          # samples per sampling block of det_log_samples
-# from this order on, tridiagonal_block reduces a block on helper threads too.
-# moment_scan band n = W, 8192 samples, 1 -> 2 workers, median wall and CPU
-# seconds of 5 rounds (3 at n >= 64), 2-vCPU x86_64 VM:
-#   n        16           24           32           48           64           100
-#   wall  0.42->0.48  0.71->0.61  1.15->0.97  2.72->2.08  4.34->3.07  11.05->7.38
-#   CPU   0.41->0.61  0.71->0.85  1.14->1.44  2.68->3.12  4.34->4.90  11.05->11.93
-# Two more runs gave n = 32: wall -27% / -17% at CPU +17% / +27%, and n = 48:
-# -21% / -22% at +16% / +21%.  From n = 48 a second worker saved a larger
-# share of wall time than it added CPU in every run; at n = 32 in one run of
-# three, at n = 16 in none.  At small n the per-sample Python work, which
-# holds the interpreter lock, outweighs the LAPACK call, which releases it.
-_THREADED_N = 48
 _JACKKNIFE_BLOCKS = 50
 _SMALL_N_BATCH = 8     # up to and including this n the vectorized Householder path is used
 _WICK_MAX_N = 3
@@ -277,12 +264,12 @@ def tridiagonal_block(profile: CovarianceProfile, seed: int, start: int, count: 
     stack and reduced by the vectorized Householder, whose numpy overhead only
     pays across a stack, on the calling thread (`det_log_samples` runs such
     blocks on several threads, one block per worker).  Otherwise the calling
-    thread draws the block's real parts (`sampler.UpperBlock`), and from order
-    `_THREADED_N` on up to `threads` workers claim its runs of samples in
-    stream order (`_Claims`), each claim drawing its run's imaginary normals
-    under the claim lock; each worker writes a sample into its own buffer and
-    reduces it in place by LAPACK: the bits do not depend on `threads`, and
-    the block is in memory once.  An error or Ctrl-C on any worker closes the
+    thread draws the block's real parts (`sampler.UpperBlock`), and up to
+    `threads` workers claim its runs of samples in stream order (`_Claims`),
+    each claim drawing its run's imaginary normals under the claim lock; each
+    worker writes a sample into its own buffer and reduces it in place by
+    LAPACK: the bits do not depend on `threads`, and the block is in memory
+    once.  An error or Ctrl-C on any worker closes the
     claims, so the others stop at their next claim, and is re-raised here.
     """
     n = profile.size
@@ -306,7 +293,7 @@ def tridiagonal_block(profile: CovarianceProfile, seed: int, start: int, count: 
                                                      overwrite_a=True)
 
     runs = -(-count // block.run)
-    _run_workers(work, min(threads, runs) if n >= _THREADED_N else 1, claims.close)
+    _run_workers(work, min(threads, runs), claims.close)
     return d, e
 
 
@@ -340,13 +327,12 @@ def det_log_samples(ensemble: str, n: int, W: float | None, lambdas,
     _SMALL_N_BATCH each worker claims the next block in start order
     (`_Claims`) and samples and reduces it as one stack, so it holds one
     block's stack and its temporaries.  Above it the blocks run one after
-    another, and from n = _THREADED_N the workers share each one
-    (`tridiagonal_block`).  An error or Ctrl-C on any worker closes the
-    claims, so the others stop after their current block, and is re-raised
-    here.  `progress(done, total)` is invoked after each completed block,
-    under the claim lock, from whichever worker finished it, with the samples
-    of all blocks completed so far, a count that only grows (reporting only;
-    does not affect results).
+    another, and the workers share each one (`tridiagonal_block`).  An error
+    or Ctrl-C on any worker closes the claims, so the others stop after their
+    current block, and is re-raised here.  `progress(done, total)` is invoked
+    after each completed block, under the claim lock, from whichever worker
+    finished it, with the samples of all blocks completed so far, a count that
+    only grows (reporting only; does not affect results).
     """
     if samples < 2:
         raise EstimatorError("need at least 2 samples")

@@ -16,7 +16,6 @@ drops their lower triangles; `UpperBlock` keeps only the entries it uses.
 
 from __future__ import annotations
 
-import functools
 import weakref
 from dataclasses import dataclass
 
@@ -24,7 +23,6 @@ import numpy as np
 
 from .lattice import CovarianceProfile
 
-_MASK128 = (1 << 128) - 1
 _MASK64 = (1 << 64) - 1
 _DRAW_PIECE = 1 << 16  # normals per draw in UpperBlock: a 512 KiB buffer
 
@@ -51,42 +49,35 @@ class RngStream:
         return np.random.Generator(bg)
 
 
-@functools.lru_cache(maxsize=4)
-def _upper_index(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Where the drawn entries of an (n, n) sample lie, the strict upper
-    triangle column by column and then the diagonal: the flat index of each in
-    a C-ordered (n, n) array, and that of its real part in the float64 view of
-    a Fortran-ordered complex one.
-
-    Cached, so every caller gets the same arrays and must not write to them.
-    They are left writeable because np.take copies a read-only index array on
-    every call.
-    """
-    j, i = np.nonzero(np.tri(n, k=-1, dtype=bool))  # column j, row i < j
-    d = np.arange(n) * (n + 1)
-    return np.concatenate([i * n + j, d]), 2 * np.concatenate([i + j * n, d])
-
-
 # keyed weakly by the (identity-hashed) profile: an entry goes with its profile
 _entries_cache = weakref.WeakKeyDictionary()
 
 
 def _upper_entries(profile: CovarianceProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The `_upper_index` of the drawn entries and the s.d. of each: that of the
-    real diagonal entry on the diagonal, and that of the real and of the
-    imaginary part of each entry above it.
+    """Where the drawn entries of an (n, n) sample lie, and the s.d. of each.
 
-    Cached per profile for as long as the profile lives; the s.d. array is
-    read-only.
+    The drawn entries are the strict upper triangle column by column and then
+    the diagonal.  Returns the flat index of each in a C-ordered (n, n) array,
+    that of its real part in the float64 view of a Fortran-ordered complex
+    one, and its s.d.: that of the real diagonal entry on the diagonal, and
+    that of the real and of the imaginary part of each entry above it.
+
+    Cached per profile for as long as the profile lives, so every caller gets
+    the same arrays and must not write to them.  The s.d. array is read-only;
+    the index arrays are left writeable because np.take copies a read-only
+    index array on every call.
     """
     entries = _entries_cache.get(profile)
     if entries is None:
         n = profile.size
-        c_index, f_index = _upper_index(n)
+        j, i = np.nonzero(np.tri(n, k=-1, dtype=bool))  # column j, row i < j
+        d = np.arange(n) * (n + 1)
+        c_index = np.concatenate([i * n + j, d])
         sd = np.take(profile.J, c_index)
         sd[:-n] /= 2.0
         np.sqrt(sd, out=sd)
         sd.flags.writeable = False
+        f_index = 2 * np.concatenate([i + j * n, d])
         entries = _entries_cache.setdefault(profile, (c_index, f_index, sd))
     return entries
 

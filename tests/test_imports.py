@@ -47,6 +47,7 @@ def test_import_footprint():
     loaded = run_python("import sys, bandmoment, bandmoment.cli\nprint(*sys.modules)").split()
     heavy = {"scipy.linalg", "scipy.stats", "scipy.integrate", "numpy.f2py"}
     assert heavy.isdisjoint(loaded), sorted(heavy & set(loaded))
+    assert "bandmoment.exact" not in loaded  # the exact references load on their own
 
 
 def test_missing_lapack_names_the_searched_path(tmp_path):
