@@ -3,7 +3,7 @@
 Subcommands
 -----------
 moment-scan   ratio-vs-sine scan over a xi grid, CSV output
-verify        named invariant suite (lattice|saddle|unitary|oracle|dual|all)
+verify        named invariant suite (lattice|saddle|unitary|oracle|dual|exact|all)
 spectrum      pooled eigenvalue histogram with semicircle reference and KS distance
 
 Configuration is a flat key=value text file plus flag overrides; CSV output is
@@ -71,7 +71,7 @@ class ExperimentConfig:
         "finite 'xi1,xi2' pairs separated by ';'", "0,0")
     samples: int = _key(int, lambda v: v >= 2, "an integer >= 2", "10000")
     seed: int = _key(int, lambda v: 0 <= v < 2 ** 64, "an integer in [0, 2^64)", "1")
-    # unset: moment-scan runs on the usable CPUs, spectrum on one thread
+    # unset: both commands run on the usable CPUs
     threads: int | None = _key(int, lambda v: v >= 1, "a positive integer")
     out: str = _key(str, bool, "a path ('-' for stdout)")
     # spectrum-only knobs
@@ -204,8 +204,17 @@ class _Progress:
             print(f"{self.label}: {done}/{total}", file=sys.stderr)
 
 
+def _profile(cfg: ExperimentConfig):
+    """The run's variance profile, built before the CSV opens: a bandwidth too
+    large for n_dim then fails with no output file."""
+    if cfg.ensemble == "band":
+        return covariance_profile(Lattice1D(cfg.n_dim), cfg.bandwidth)
+    return sampler.gue_profile(cfg.n_dim)
+
+
 def cmd_moment_scan(cfg: ExperimentConfig, quiet: bool) -> int:
     bandwidth_out = cfg.bandwidth if cfg.bandwidth is not None else math.inf
+    _profile(cfg)  # the library builds it again from (ensemble, n_dim, bandwidth)
     with _CsvWriter(cfg.out) as writer:
         writer.comment("bandmoment moment-scan")
         writer.comment(f"ensemble={cfg.ensemble} lambda0={_fmt(cfg.lambda0)}")
@@ -231,15 +240,14 @@ def cmd_spectrum(cfg: ExperimentConfig, quiet: bool) -> int:
     bin_edges = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.bins + 1)
     ks_grid = np.linspace(cfg.lambda_min, cfg.lambda_max, cfg.ks_points)
     edges = np.concatenate([bin_edges, ks_grid])
-    profile = (covariance_profile(Lattice1D(cfg.n_dim), cfg.bandwidth)
-               if cfg.ensemble == "band" else sampler.gue_profile(cfg.n_dim))
+    profile = _profile(cfg)
     with _CsvWriter(cfg.out) as writer:
         writer.comment("bandmoment spectrum")
         writer.comment(f"ensemble={cfg.ensemble} n_dim={cfg.n_dim} bandwidth="
                        f"{_fmt(cfg.bandwidth if cfg.bandwidth is not None else math.inf)} "
                        f"samples={cfg.samples} seed={cfg.seed}")
         writer.row(["bin_lo", "bin_hi", "mass", "semicircle_mass"])
-        counts = moments.spectrum_counts(profile, edges, cfg.samples, cfg.seed, cfg.threads or 1,
+        counts = moments.spectrum_counts(profile, edges, cfg.samples, cfg.seed, cfg.threads,
                                          _Progress("spectrum", quiet))
         cdf = counts / (cfg.samples * cfg.n_dim)
         ks_distance = float(np.abs(cdf[len(bin_edges):] - semicircle_cdf(ks_grid)).max())
@@ -281,7 +289,7 @@ def _make_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None, help="64-bit master seed override")
         sp.add_argument("--threads", type=int, default=None,
                         help="worker threads (default: BANDMOMENT_THREADS, else the usable "
-                             "CPUs for moment-scan and 1 for spectrum)")
+                             "CPUs)")
         sp.add_argument("--samples", type=int, default=None, help="sample count override")
         sp.add_argument("--out", default=None, help="output CSV path ('-' for stdout)")
 

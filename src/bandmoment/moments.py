@@ -17,21 +17,21 @@ sample set, and errors by leave-one-block-out jackknife over 50 fixed blocks
 (one per sample below 50 samples).  `spectrum_counts` pools eigenvalue counts
 over samples for the spectrum.
 
-Samples come in fixed 4096-sample blocks, each keyed by its start index, so
-no bit depends on which thread runs a block or in what order.  Every worker
-loop shares work the same way: it claims the next range in order from one
-locked counter (`_Claims`), which also counts finished work for `progress`.
-Up to n = _SMALL_N_BATCH every worker claims whole blocks and samples and
+A scan's samples come in fixed 4096-sample blocks, each keyed by its start
+index, and a spectrum's samples each by its own index, so no bit depends on
+which thread runs a block or a sample, or in what order.  Every worker loop
+shares work the same way: it claims the next range in order from one locked
+counter (`_Claims`), which also counts finished work for `progress`.  Up to
+n = _SMALL_N_BATCH every scan worker claims whole blocks and samples and
 reduces each as one stack; above it the blocks run one after another, with
 every worker sharing each block (`tridiagonal_block`).
 
-An exact Isserlis-pairing expansion (dimension <= 3) provides the independent
-oracle the Monte Carlo path is validated against.
+The exact Isserlis-pairing oracle (dimension <= 3) the Monte Carlo path is
+validated against lives in `exact`; `wick_exact_f2` here calls it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import threading
@@ -46,7 +46,6 @@ from .saddle import SpectralParams, scaled_lambdas, sine_kernel
 _CHUNK = 4096          # samples per sampling block of det_log_samples
 _JACKKNIFE_BLOCKS = 50
 _SMALL_N_BATCH = 8     # up to and including this n the vectorized Householder path is used
-_WICK_MAX_N = 3
 
 
 class EstimatorError(RuntimeError):
@@ -84,86 +83,18 @@ class RatioResult:
     rejected: int = 0
 
 
-# ---------------------------------------------------------------------------
-# exact pairing-expansion oracle (N <= 3)
-# ---------------------------------------------------------------------------
-
-def _perm_sign(p: tuple[int, ...]) -> int:
-    n = len(p)
-    seen = [False] * n
-    sign = 1
-    for i in range(n):
-        if seen[i]:
-            continue
-        j = i
-        length = 0
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
-def _pairing_sum(factors: list[tuple[int, int]], J: np.ndarray) -> float:
-    """Sum over perfect matchings of the entry covariances.
-
-    The only nonzero second moment is E[H_ab H_ba] = J_ab, so a pairing
-    contributes only when the paired factors have mirrored indices.
-    """
-    if len(factors) % 2 == 1:
-        return 0.0
-    if not factors:
-        return 1.0
-    a, b = factors[0]
-    total = 0.0
-    for k in range(1, len(factors)):
-        c, d = factors[k]
-        if c == b and d == a:
-            total += J[a, b] * _pairing_sum(factors[1:k] + factors[k + 1:], J)
-    return total
-
-
 def wick_exact_f2(n: int, lambda1: float, lambda2: float,
                   profile: CovarianceProfile) -> float:
-    """Exact E[det(l1 - H) det(l2 - H)] by permutation expansion and pairing.
+    """`exact.wick_exact_f2(lambda1, lambda2, profile)`, for n = profile.size <= 3.
 
-    Both determinants are expanded over permutations, the (lambda - H_ii)
-    factors at fixed points are multiplied out, and every Gaussian moment is
-    evaluated by Isserlis pairing with E[H_ab H_cd] = J_ab [c=b, d=a].
-    Supported for n <= 3 only (combinatorial guard).
+    Kept with its size argument for the callers that pass it; `exact` is
+    imported on the first call, so the package does not load it.
     """
-    if not 1 <= n <= _WICK_MAX_N:
-        raise ValueError(f"exact expansion supported for n in 1..{_WICK_MAX_N}, got {n}")
+    from . import exact
+
     if profile.size != n:
         raise ValueError("profile size does not match n")
-    J = profile.J
-    perms = list(itertools.permutations(range(n)))
-    expansions = []
-    for p in perms:
-        sgn = _perm_sign(p)
-        fixed = [i for i in range(n) if p[i] == i]
-        moved = [(i, p[i]) for i in range(n) if p[i] != i]
-        expansions.append((sgn, fixed, moved))
-    total = 0.0
-    for sgn1, fix1, mov1 in expansions:
-        for sgn2, fix2, mov2 in expansions:
-            base_sign = sgn1 * sgn2 * (-1) ** (len(mov1) + len(mov2))
-            for k1 in range(len(fix1) + 1):
-                for sub1 in itertools.combinations(fix1, k1):
-                    for k2 in range(len(fix2) + 1):
-                        for sub2 in itertools.combinations(fix2, k2):
-                            factors = (mov1 + [(i, i) for i in sub1]
-                                       + mov2 + [(j, j) for j in sub2])
-                            ev = _pairing_sum(factors, J)
-                            if ev == 0.0:
-                                continue
-                            coeff = (base_sign * (-1) ** (k1 + k2)
-                                     * lambda1 ** (len(fix1) - k1)
-                                     * lambda2 ** (len(fix2) - k2))
-                            total += coeff * ev
-    return total
+    return exact.wick_exact_f2(lambda1, lambda2, profile)
 
 
 # ---------------------------------------------------------------------------
@@ -260,6 +191,9 @@ def tridiagonal_block(profile: CovarianceProfile, seed: int, start: int, count: 
     """Tridiagonal forms of the `count` samples of `profile` keyed by RngStream(seed, start).
 
     Returns d (count, n) and e (count, n - 1) >= 0, with n = profile.size.
+    This is the reduction stage of `det_log_samples`' blocks; a spectrum keys
+    each sample by itself and writes it straight into a worker's buffer
+    (`spectrum_counts`).
     A block of more than one sample up to n = _SMALL_N_BATCH is sampled as one
     stack and reduced by the vectorized Householder, whose numpy overhead only
     pays across a stack, on the calling thread (`det_log_samples` runs such
@@ -278,14 +212,11 @@ def tridiagonal_block(profile: CovarianceProfile, seed: int, start: int, count: 
         return charpoly.tridiagonalize_batch(sampler.sample_batch(profile, stream, count))
     d = np.empty((count, n))
     e = np.empty((count, n - 1))
-    # the calling thread's buffer comes before the block: in this order the
-    # peak RSS of a spectrum at n = 1000 (one-sample blocks) is 2 MB lower
-    buf = np.zeros((n, n), dtype=complex, order="F")
     block = sampler.UpperBlock(profile, stream, count)
     claims = _Claims(count, block.run)
 
     def work(i):
-        own = buf if i == 0 else np.zeros((n, n), dtype=complex, order="F")
+        own = np.zeros((n, n), dtype=complex, order="F")
         z = block.normals()
         while (run := claims.claim(lambda r: block.draw(z[:len(r)]))) is not None:
             for j, b in enumerate(run):
@@ -298,7 +229,7 @@ def tridiagonal_block(profile: CovarianceProfile, seed: int, start: int, count: 
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on, the default worker count of `det_log_samples`."""
+    """The CPUs this process may run on, the default worker count of both sample loops."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # not every platform has it
@@ -376,32 +307,40 @@ def det_log_samples(ensemble: str, n: int, W: float | None, lambdas,
 
 
 def spectrum_counts(profile: CovarianceProfile, edges: np.ndarray, samples: int, seed: int,
-                    threads: int = 1, progress=None) -> np.ndarray:
+                    threads: int | None = None, progress=None) -> np.ndarray:
     """Eigenvalue counts below each of `edges`, summed over `samples` samples of `profile`.
 
     Sample b is keyed by RngStream(seed, b).  Up to `threads` workers
-    (default 1: each holds a sample of its own) claim runs of consecutive
-    samples (`_Claims`) and count each run as one stack into totals of their
-    own: a Sturm count of one sample is mostly interpreter overhead, and one
-    sample at n = 4 (~170 us) is too little to claim alone.  A run holds
-    about 2^16 matrix entries and at most 2^18 pivots per step of the count
-    (2 MB), and there are at least 4 runs per thread.  The counts are
-    integers, so their sum depends neither on the run length nor on
-    `threads`.  `progress(done, total)` is called after each run, under the
-    claim lock.
+    (default: the usable CPUs) claim runs of consecutive samples (`_Claims`).
+    A worker keeps one (n, n) buffer for the whole run: it writes each sample
+    into it (`sampler.write_sample`) and reduces it there in place, then
+    counts the run as one stack into totals of its own: a Sturm count of one
+    sample is mostly interpreter overhead, and one sample at n = 4 (~170 us)
+    is too little to claim alone.  A run holds about 2^16 matrix entries and
+    at most 2^18 pivots per step of the count (2 MB), and there are at least
+    4 runs per thread.  The counts are integers, so their sum depends neither
+    on the run length nor on `threads`.  `progress(done, total)` is called
+    after each run, under the claim lock.
     """
-    step = max(1, min(2 ** 16 // profile.size ** 2, 2 ** 18 // len(edges),
-                      samples // (4 * threads)))
+    if threads is None:
+        threads = _usable_cpus()
+    n = profile.size
+    step = max(1, min(2 ** 16 // n ** 2, 2 ** 18 // len(edges), samples // (4 * threads)))
     claims = _Claims(samples, step, progress)
     workers = min(threads, -(-samples // step))
     pooled = np.zeros((workers, len(edges)), dtype=np.int64)
+    sampler._upper_entries(profile)  # built here, not by every worker missing the cache at once
 
     def work(i):
+        buf = np.zeros((n, n), dtype=complex, order="F")
+        d, e = np.empty((step, n)), np.empty((step, n - 1))
         while (run := claims.claim()) is not None:
-            d, e = zip(*(tridiagonal_block(profile, seed, b, 1) for b in run))
-            pooled[i] += charpoly.count_below_many(np.concatenate(d), np.concatenate(e) ** 2,
-                                                   edges).sum(axis=0)
-            claims.finish(len(run))
+            for j, b in enumerate(run):
+                sampler.write_sample(profile, sampler.RngStream(seed, b), buf)
+                d[j], e[j] = charpoly.tridiagonalize(buf, overwrite_a=True)
+            k = len(run)
+            pooled[i] += charpoly.count_below_many(d[:k], e[:k] ** 2, edges).sum(axis=0)
+            claims.finish(k)
 
     _run_workers(work, workers, claims.close)
     return pooled.sum(axis=0)

@@ -11,7 +11,9 @@ Random streams are counter-based (Philox): the stream for a given
 bit-reproducible regardless of thread count or call order.  Matrices are
 Hermitian by construction: only the diagonal and upper triangle are used, and
 the lower triangle mirrors it.  `sample_batch` draws two full normal stacks and
-drops their lower triangles; `UpperBlock` keeps only the entries it uses.
+drops their lower triangles; `UpperBlock` keeps only the entries it uses;
+`write_sample` writes one sample's upper half straight into a buffer of the
+caller's, drawing its normals a piece at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 from .lattice import CovarianceProfile
 
 _MASK64 = (1 << 64) - 1
-_DRAW_PIECE = 1 << 16  # normals per draw in UpperBlock: a 512 KiB buffer
+_DRAW_PIECE = 1 << 16  # normals per draw in UpperBlock and write_sample: a 512 KiB buffer
 
 
 @dataclass(frozen=True)
@@ -56,8 +58,8 @@ _entries_cache = weakref.WeakKeyDictionary()
 def _upper_entries(profile: CovarianceProfile) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Where the drawn entries of an (n, n) sample lie, and the s.d. of each.
 
-    The drawn entries are the strict upper triangle column by column and then
-    the diagonal.  Returns the flat index of each in a C-ordered (n, n) array,
+    The drawn entries are the strict upper triangle row by row and then the
+    diagonal, each part in the order its normals are drawn.  Returns the flat index of each in a C-ordered (n, n) array,
     that of its real part in the float64 view of a Fortran-ordered complex
     one, and its s.d.: that of the real diagonal entry on the diagonal, and
     that of the real and of the imaginary part of each entry above it.
@@ -70,7 +72,7 @@ def _upper_entries(profile: CovarianceProfile) -> tuple[np.ndarray, np.ndarray, 
     entries = _entries_cache.get(profile)
     if entries is None:
         n = profile.size
-        j, i = np.nonzero(np.tri(n, k=-1, dtype=bool))  # column j, row i < j
+        i, j = np.triu_indices(n, 1)  # row i < column j, row by row
         d = np.arange(n) * (n + 1)
         c_index = np.concatenate([i * n + j, d])
         sd = np.take(profile.J, c_index)
@@ -115,6 +117,40 @@ def sample_batch(profile: CovarianceProfile, stream: RngStream, count: int) -> n
     H = A * S + 1j * (B * np.triu(S, 1))
     H += np.conj(np.swapaxes(np.triu(H, 1), -1, -2))
     return H
+
+
+def write_sample(profile: CovarianceProfile, stream: RngStream, out: np.ndarray) -> np.ndarray:
+    """Write `sample_batch(profile, stream, 1)[0]` into `out`; return `out`.
+
+    `out` is an (n, n) complex array, Fortran-ordered so that LAPACK can
+    reduce it in place.  Its diagonal and upper triangle get the sample's
+    values there, which is all zhetrd with uplo='U' reads.  Its strictly lower
+    triangle and the imaginary part of its diagonal are never written: a
+    buffer made by `np.zeros` holds the sample's upper half after every write.
+    The normals are drawn in stream order, the n^2 real-part ones and then the
+    n^2 imaginary ones, in pieces of at most `_DRAW_PIECE`, so no n^2 stack is
+    held.  In `_upper_entries`' order the entries one piece feeds are one
+    slice of the strict upper entries and one of the diagonal.
+    """
+    n = profile.size
+    src, dst, sd = _upper_entries(profile)
+    strict = len(src) - n
+    flat = np.reshape(out, -1, order="F", copy=False).view(np.float64)
+    g = stream.generator()
+    z = np.empty(min(n * n, _DRAW_PIECE))
+    # the real parts and the diagonal, then the imaginary parts, which sit one
+    # place after the real parts
+    for into, parts in ((flat, ((0, strict), (strict, len(src)))), (flat[1:], ((0, strict),))):
+        for first in range(0, n * n, len(z)):
+            piece = z[:n * n - first]
+            g.standard_normal(out=piece)
+            for lo, hi in parts:
+                a, b = np.searchsorted(src[lo:hi], (first, first + len(piece))) + lo
+                # indices are in range by construction; mode="clip" skips numpy's buffered check
+                values = np.take(piece, src[a:b] - first, mode="clip")
+                values *= sd[a:b]
+                into[dst[a:b]] = values
+    return out
 
 
 class UpperBlock:

@@ -31,6 +31,8 @@ from .saddle import (
 # lambda0 in {0, 1} (0.1 is already too wide at lambda0 = 1)
 IN_LEFT_DELTA = 0.03
 EXCESS_DELTA = 0.1
+# xi pairs (d/2, -d/2) of the acceptance gate's scans
+DELTA_GRID = (0.25, 0.5, 1.0, 1.5)
 
 
 @dataclass
@@ -339,8 +341,10 @@ def suite_oracle(samples: int = 200_000,
                  seeds: tuple[int, int, int] = (2024, 2024, 2024)) -> list[CheckResult]:
     """Exact pairing expansion vs Monte Carlo; `seeds` key the N = 1, 2, 3 cases."""
     out = []
+    from . import exact  # here, not at the top: the package itself does not load it
+
     p1 = lattice.covariance_profile(lattice.Lattice1D(1), 1.0)
-    v = moments.wick_exact_f2(1, 0.3, -0.2, p1)
+    v = exact.wick_exact_f2(0.3, -0.2, p1)
     out.append(_check("exact F2 (N=1, l=0.3/-0.2)", f"{v:.10f}", "0.94",
                       abs(v - 0.94) < 1e-14))
     rng = np.random.default_rng(8)
@@ -348,8 +352,8 @@ def suite_oracle(samples: int = 200_000,
     sym_err = 0.0
     for _ in range(5):
         l1, l2 = rng.uniform(-1.5, 1.5, 2)
-        a = moments.wick_exact_f2(3, l1, l2, p3)
-        b = moments.wick_exact_f2(3, l2, l1, p3)
+        a = exact.wick_exact_f2(l1, l2, p3)
+        b = exact.wick_exact_f2(l2, l1, p3)
         sym_err = max(sym_err, abs(a - b) / max(abs(a), 1e-300))
     out.append(_check_tol("exact F2 symmetry in (l1,l2), rel", sym_err, 1e-12))
 
@@ -357,9 +361,9 @@ def suite_oracle(samples: int = 200_000,
     devs, rels, rejected = [], [], 0
     for (n, W, (l1, l2)), seed in zip(cases, seeds):
         prof = lattice.covariance_profile(lattice.Lattice1D(n), W)
-        exact = moments.wick_exact_f2(n, l1, l2, prof)
+        ref = exact.wick_exact_f2(l1, l2, prof)
         est = moments.mc_f2("band", n, W, [l1, l2], samples, seed)[(0, 1)]
-        devs.append(abs(est.value - exact) / est.stderr)
+        devs.append(abs(est.value - ref) / est.stderr)
         rels.append(est.stderr / abs(est.value))
         rejected += est.rejected
     out.append(_check("MC F2 vs exact (N=1,2,3)", f"{max(devs):.2f} se", "<=4 se",
@@ -376,6 +380,8 @@ def suite_oracle(samples: int = 200_000,
 
 def suite_dual() -> list[CheckResult]:
     """The exact dual field rule against the pairing expansion, at one and two sites."""
+    from . import exact
+
     out = []
     for n, widths in ((1, (1.0,)), (2, (0.7, 1.0, 2.0, 13.0))):
         worst = worst_im = 0.0
@@ -385,13 +391,49 @@ def suite_dual() -> list[CheckResult]:
                 for (x1, x2) in ((0.0, 0.0), (0.5, -0.5), (0.3, -0.2), (0.7, 0.1)):
                     sp = scaled_lambdas(l0, x1, x2, n)
                     val = dualrep.dual_f2(sp.lambda1, sp.lambda2, prof)
-                    exact = moments.wick_exact_f2(n, sp.lambda1, sp.lambda2, prof)
-                    worst = max(worst, abs(val.real - exact) / abs(exact))
-                    worst_im = max(worst_im, abs(val.imag) / abs(exact))
+                    ref = exact.wick_exact_f2(sp.lambda1, sp.lambda2, prof)
+                    worst = max(worst, abs(val.real - ref) / abs(ref))
+                    worst_im = max(worst_im, abs(val.imag) / abs(ref))
         case = f"N={n}, W={'/'.join(f'{W:g}' for W in widths)}"
         out.append(_check_tol(f"dual rule vs exact ({case}, 12 (lambda0, xi) points each)",
                               worst, 1e-12))
         out.append(_check_tol(f"dual rule imaginary part, relative ({case})", worst_im, 1e-12))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# exact references
+# ---------------------------------------------------------------------------
+
+def suite_exact() -> list[CheckResult]:
+    """GUE's exact F2 (the Christoffel-Darboux sum) against the pairing expansion, and
+    the 1/N rate of its sine-kernel deviation, at the acceptance gate's delta grid."""
+    from . import exact
+
+    out = []
+    worst = 0.0
+    for n in (1, 2, 3):
+        prof = sampler.gue_profile(n)
+        for l0 in (0.0, 1.0):
+            for d in DELTA_GRID:
+                sp = scaled_lambdas(l0, d / 2, -d / 2, n)
+                for x, y in ((sp.lambda1, sp.lambda2), (sp.lambda1, sp.lambda1)):
+                    sign, log_mag = exact.gue_log_f2(n, x, y)
+                    ref = exact.wick_exact_f2(x, y, prof)
+                    worst = max(worst, abs(sign * math.exp(log_mag) - ref) / abs(ref))
+    out.append(_check_tol("GUE CD sum vs pairing expansion (N<=3, lambda0 in {0, 1}, "
+                          "16 points each), rel", worst, 1e-13))
+    # at lambda0 = 0 each parity's N (ratio - sine) tends to its own limit
+    for small, big in ((1000, 10_000), (1001, 10_001)):
+        worst = 0.0
+        for d in DELTA_GRID:
+            rates = []
+            for n in (small, big):
+                sp = scaled_lambdas(0.0, d / 2, -d / 2, n)
+                rates.append(n * (exact.gue_ratio(n, sp.lambda1, sp.lambda2) - sine_kernel(d)))
+            worst = max(worst, abs(rates[0] - rates[1]))
+        out.append(_check_tol(f"GUE N (ratio - sine) at lambda0=0, N={small} vs {big}, "
+                              f"{len(DELTA_GRID)} deltas", worst, 2e-3))
     return out
 
 
@@ -401,6 +443,7 @@ SUITES = {
     "unitary": suite_unitary,
     "oracle": suite_oracle,
     "dual": suite_dual,
+    "exact": suite_exact,
 }
 
 

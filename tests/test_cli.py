@@ -93,10 +93,11 @@ class TestConfig:
                                                    bandwidth, shown):
         cfg = write_cfg(tmp_path / "c.cfg", BASE_SCAN.replace("n_dim = 6", f"n_dim = {n_dim}")
                         .replace("bandwidth = 3", f"bandwidth = {bandwidth}"))
-        assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "x.csv"),
-                        "--quiet"]) == 2
+        out = tmp_path / "x.csv"
+        assert run_cli([command, "--config", cfg, "--out", str(out), "--quiet"]) == 2
         assert (f"invalid config: bandwidth W={shown} is too large for n={n_dim}"
                 in capsys.readouterr().err)
+        assert not out.exists()  # the profile is built before the CSV opens
 
     @pytest.mark.parametrize("command", ["moment-scan", "spectrum"])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, command):
@@ -469,16 +470,16 @@ def test_memory_error_on_a_worker_flushes_incomplete_trailer(tmp_path, monkeypat
                                                              command):
     # raised on a helper thread of the shared block (moment-scan) or on a
     # spectrum worker, and reported by main as exit 2
-    from bandmoment import sampler
+    from bandmoment import charpoly
 
-    write = sampler.UpperBlock.write
+    reduce = charpoly.tridiagonalize
 
-    def fail_off_main(self, *args):
+    def fail_off_main(H, overwrite_a=False):
         if threading.current_thread() is not threading.main_thread():
             raise MemoryError("no room")
-        return write(self, *args)
+        return reduce(H, overwrite_a)
 
-    monkeypatch.setattr(sampler.UpperBlock, "write", fail_off_main)
+    monkeypatch.setattr(charpoly, "tridiagonalize", fail_off_main)
     cfg = write_cfg(tmp_path / "c.cfg", "ensemble = band\nn_dim = 48\nbandwidth = 48\n"
                                         "samples = 2000\n")
     out = tmp_path / "out.csv"
@@ -489,7 +490,7 @@ def test_memory_error_on_a_worker_flushes_incomplete_trailer(tmp_path, monkeypat
 
 
 def test_threads_default_per_command(tmp_path, monkeypatch):
-    # unset threads: moment-scan takes the library default (the usable CPUs), spectrum 1
+    # unset threads: both commands take the library default, the usable CPUs
     from bandmoment import moments as mo
 
     seen = []
@@ -500,12 +501,13 @@ def test_threads_default_per_command(tmp_path, monkeypatch):
 
     monkeypatch.setattr(mo, "moment_scan", lambda *a, threads, progress: record(threads))
     monkeypatch.setattr(mo, "_run_workers", lambda work, threads, stop: record(threads))
+    monkeypatch.setattr(mo, "_usable_cpus", lambda: 3)
     monkeypatch.delenv("BANDMOMENT_THREADS", raising=False)
     cfg = write_cfg(tmp_path / "c.cfg", BASE_SCAN)
     for command in ("moment-scan", "spectrum"):
         assert run_cli([command, "--config", cfg, "--out", str(tmp_path / "x.csv"),
                         "--quiet"]) == 130
-    assert seen == [None, 1]
+    assert seen == [None, 3]
 
 
 def test_estimator_failure_exits_3_with_closed_csv(tmp_path, monkeypatch, capsys):
@@ -581,7 +583,7 @@ def test_spectrum_unwritable_output_exits_before_sampling(tmp_path, monkeypatch,
     def never(*args, **kwargs):
         raise AssertionError("sampled before the output was opened")
 
-    monkeypatch.setattr(mo, "tridiagonal_block", never)
+    monkeypatch.setattr(mo.sampler, "write_sample", never)
     cfg = write_cfg(tmp_path / "c.cfg", "ensemble = gue\nn_dim = 4\nsamples = 10\n")
     out = str(tmp_path / "missing" / "x.csv")
     assert run_cli(["spectrum", "--config", cfg, "--out", out, "--quiet"]) == 2
@@ -594,7 +596,7 @@ def test_spectrum_interrupt_flushes_incomplete_trailer(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(mo, "tridiagonal_block", boom)
+    monkeypatch.setattr(mo.sampler, "write_sample", boom)
     cfg = write_cfg(tmp_path / "c.cfg", "ensemble = gue\nn_dim = 4\nsamples = 10\n")
     out = tmp_path / "spectrum.csv"
     assert run_cli(["spectrum", "--config", cfg, "--out", str(out), "--quiet"]) == 130

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from bandmoment import exact
-from bandmoment.moments import wick_exact_f2
 from bandmoment.saddle import scaled_lambdas, sine_kernel
 from bandmoment.sampler import gue_profile
 
@@ -19,7 +18,7 @@ def f2(n, x, y):
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("x, y", [(0.3, -0.2), (0.5, 0.5), (1.7, -0.4), (0.0, 0.0), (-2.5, 0.9)])
 def test_matches_wick_oracle(n, x, y):
-    assert f2(n, x, y) == pytest.approx(wick_exact_f2(n, x, y, gue_profile(n)), rel=1e-13)
+    assert f2(n, x, y) == pytest.approx(exact.wick_exact_f2(x, y, gue_profile(n)), rel=1e-13)
 
 
 def brezin_hikami_quotient(n, x, y):

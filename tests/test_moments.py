@@ -517,6 +517,23 @@ def test_million_sample_oracle_memory():
     assert peak <= 32 * 2**20
 
 
+def test_spectrum_worker_holds_one_buffer():
+    # one worker at n = 600: its (n, n) complex buffer (16 n^2 bytes) and a
+    # piece of normals; 20.9 n^2 bytes here, 28.1 n^2 when each sample drew its
+    # n^2 imaginary normals beside its packed real parts
+    n = 600
+    prof = covariance_profile(Lattice1D(n), 60.0)
+    edges = np.linspace(-3.0, 3.0, 50)
+    mo.spectrum_counts(prof, edges, 2, 9, threads=1)  # entries and workspace outside the trace
+    tracemalloc.start()
+    try:
+        mo.spectrum_counts(prof, edges, 4, 1, threads=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 24 * n * n
+
+
 def test_jackknife_below_fifty_samples_is_delete_one():
     # with fewer kept samples than jackknife blocks every block is one sample
     pair = (0.5, -0.5)

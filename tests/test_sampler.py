@@ -211,3 +211,23 @@ class TestUpperSamples:
         assert self.upper(a) == self.upper(sm.sample_rbm(gue, s))
         assert sm.sample_rbm(prof, s).tobytes() == sm.sample_batch(prof, s, 1)[0].tobytes()
         assert sm.sample_rbm(gue, s).tobytes() == sm.sample_batch(gue, s, 1)[0].tobytes()
+
+
+class TestWriteSample:
+    @pytest.mark.parametrize("n", [1, 2, 3, 9, 255, 256, 257, 1000])
+    def test_bitwise_equal_to_sample_batch(self, n):
+        # one piece of normals, a piece's edge (256^2 = _DRAW_PIECE), a row split
+        # across two pieces, and sixteen pieces; each write lands on the last
+        # sample's buffer after LAPACK reduced it in place, as in a spectrum worker
+        from bandmoment.charpoly import tridiagonalize
+
+        prof = covariance_profile(Lattice1D(n), max(1.0, n / 10))
+        buf = np.zeros((n, n), dtype=complex, order="F")
+        for index in (5, 6):
+            stream = sm.RngStream(83, index)
+            a = sm.write_sample(prof, stream, buf)
+            assert a is buf
+            H = sm.sample_batch(prof, stream, 1)[0]
+            assert TestUpperSamples.upper(a) == TestUpperSamples.upper(H)
+            assert not np.tril(a, -1).any() and not np.diag(a).imag.any()
+            tridiagonalize(buf, overwrite_a=True)
