@@ -18,7 +18,13 @@ shapes the acceptance criteria scan:
   included), so that a change to one suite shows the others unchanged.
 
 Every scan is at lambda0 = 0 over the pairs (d/2, -d/2), d in
-{0.25, 0.5, 1, 1.5}.  It takes about 26 s on a 2-vCPU x86_64 VM.
+{0.25, 0.5, 1, 1.5}.  Within each group every thread count must give the
+same line.  The scan, `oracle_n3_mc_f2*` and `spectrum_n1000*` lines and
+`verify_oracle` depend on the sample layout (the order in which a sample
+takes its normals, and how samples are keyed); a change to the layout moves
+them and must leave `verify_lattice`, `verify_saddle`, `verify_unitary`,
+`verify_dual` and `verify_exact` as they are.  It takes about 26 s on a
+2-vCPU x86_64 VM.
 """
 
 from __future__ import annotations

@@ -19,6 +19,23 @@ cancel as y approaches x.  It is carried in signed-log form, as
 at any n: F2(0, 0) is about 1e-41 at n = 100 and underflows from n of about
 720.
 
+For a band profile, J^-1 = W^2 K + 1 is tridiagonal, and `transfer_f2` runs
+a transfer recursion over the paper's dual representation (`dualrep`):
+
+    F2(l1, l2) = (-1)^n E[prod_j ((g_j - i l1)(h_j - i l2) - |c_j|^2)],
+
+g and h real and c complex Gaussian fields of covariance J.  Each field is a
+Gauss-Markov chain, and so is |c_j|^2 alone.  A function of site j's state is
+held as a coefficient tensor a[p, q, r] over the normalized Hermite
+polynomials He_p(x)/sqrt(p!) of x = g_j/sigma_j and of y = h_j/sigma_j and
+the Laguerre polynomials L_r of t = |c_j|^2/sigma_j^2, which is Exp(1)
+(sigma_j^2 = J_jj).  In this basis multiplying by x or t is a three-term
+stencil, and the conditional expectation from site j + 1 to site j
+multiplies entry (p, q, r) by rho_j^(p + q + 2r), rho_j = J_{j,j+1}/(sigma_j
+sigma_{j+1}) (Mehler's and the Hille-Hardy formula; the transfer-operator
+view of M. and T. Shcherbina, Commun. Math. Phys. 351 (2017)).  GUE's flat
+profile is the chain with rho = 1.
+
 This module is not imported by the package, so `import bandmoment` stays as
 light as it is.
 """
@@ -27,6 +44,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
+
+import numpy as np
 
 from .lattice import CovarianceProfile
 
@@ -34,6 +54,8 @@ from .lattice import CovarianceProfile
 # that a sum of products of two of them stays in double range
 _RESCALE = 1e100
 _WICK_MAX_N = 3
+_CAP_STEP = 8        # the transfer tensor's cap grows by this many degrees per axis
+_MARKOV_TOL = 1e-9   # largest |J - chain J| / max J that transfer_f2 accepts
 
 
 def _perm_sign(p: tuple[int, ...]) -> int:
@@ -149,3 +171,116 @@ def gue_ratio(n: int, x: float, y: float) -> float:
     """
     sign, log_xy = gue_log_f2(n, x, y)
     return sign * math.exp(log_xy - 0.5 * (gue_log_f2(n, x, x)[1] + gue_log_f2(n, y, y)[1]))
+
+
+@dataclass(frozen=True)
+class TransferF2:
+    """F2(l1, l2) from `transfer_f2`: sign * exp(log_abs), with its convergence record.
+
+    `cap` is the cube cap K (degrees below K kept per axis), `change` the
+    relative change of the value over the cap's last growth (0 if one cap
+    ran), and `imag_ratio` |Im|/|Re| of the computed value, whose imaginary
+    part is zero in exact arithmetic: a built-in stability alarm.
+    """
+
+    sign: int
+    log_abs: float
+    cap: int
+    change: float
+    imag_ratio: float
+
+
+def _chain(profile: CovarianceProfile) -> tuple[np.ndarray, np.ndarray]:
+    """sigma_j and rho_j of the Gauss-Markov chain whose covariance is profile.J."""
+    J = profile.J
+    sigma = np.sqrt(np.diag(J))
+    rho = np.diag(J, 1) / (sigma[:-1] * sigma[1:])
+    chain = np.diag(sigma ** 2)  # J_jk = sigma_j sigma_k rho_j ... rho_{k-1}
+    for j in range(len(rho)):
+        chain[j, j + 1:] = sigma[j] * sigma[j + 1:] * np.cumprod(rho[j:])
+    chain = np.triu(chain) + np.triu(chain, 1).T
+    if not np.abs(chain - J).max() <= _MARKOV_TOL * np.abs(J).max():
+        raise ValueError("the profile's fields are not a Markov chain: J^-1 is not tridiagonal")
+    return sigma, rho
+
+
+def _times_x(c: np.ndarray, axis: int) -> np.ndarray:
+    """x times the cube `c` along `axis`, degrees above the cube's dropped.
+
+    x psi_p = sqrt(p + 1) psi_{p+1} + sqrt(p) psi_{p-1}.
+    """
+    out = np.zeros_like(c)
+    c, o = np.moveaxis(c, axis, 0), np.moveaxis(out, axis, 0)
+    root = np.sqrt(np.arange(1.0, len(c)))[:, None, None]
+    o[1:] += root * c[:-1]
+    o[:-1] += root * c[1:]
+    return out
+
+
+def _transfer(sigma, rho, l1: float, l2: float, cap: int) -> tuple[complex, float]:
+    """(-1)^n E[prod_j site_j] as mantissa * exp(log_scale), degrees below `cap` kept."""
+    n = len(sigma)
+    a, log_scale = np.ones((1, 1, 1), dtype=complex), 0.0
+    for j in range(n - 1, -1, -1):
+        if j < n - 1 and rho[j] != 1.0:  # condition site j + 1 on site j
+            w = rho[j] ** np.arange(len(a))
+            a = a * (w[:, None, None] * w[:, None] * w ** 2)
+        size = min(len(a) + 1, cap)
+        b = np.zeros((size,) * 3, dtype=complex)
+        b[:len(a), :len(a), :len(a)] = a[:size, :size, :size]
+        r = np.arange(size)  # t L_r = -(r + 1) L_{r+1} + (2r + 1) L_r - r L_{r-1}
+        tb = (2 * r + 1) * b
+        tb[:, :, 1:] -= r[1:] * b[:, :, :-1]
+        tb[:, :, :-1] -= r[1:] * b[:, :, 1:]
+        s = sigma[j]
+        xb, yb = _times_x(b, 0), _times_x(b, 1)
+        a = s * s * (_times_x(yb, 0) - tb) - 1j * s * (l2 * xb + l1 * yb) - l1 * l2 * b
+        big = np.abs(a).max()
+        a /= big
+        log_scale += math.log(big)
+    return (-1) ** n * complex(a[0, 0, 0]), log_scale
+
+
+def transfer_f2(profile: CovarianceProfile, l1: float, l2: float,
+                tol: float = 1e-10) -> TransferF2:
+    """Exact F2(l1, l2) of a profile whose J^-1 is tridiagonal, by the transfer recursion.
+
+    The sites are run backward, n to 1: for j < n the tensor is first
+    conditioned from site j + 1 to site j, then multiplied by the site factor
+    (sigma_j x - i l1)(sigma_j y - i l2) - sigma_j^2 t, then rescaled by its
+    largest entry, whose log adds to a running scale.  The answer is (-1)^n
+    a[0, 0, 0] times the scale.  The tensor grows by one degree per axis and
+    site, up to a cube cap K: K starts at 8 and grows by 8 until the value
+    moves by at most `tol` relative, or until 2K > n.  Then the cut is exact:
+    a degree K first appears after K sites, and each site lowers a degree by
+    at most one, so the n - K sites left cannot bring it back to 0.  A cap
+    costs about n K^3: at band n = W = 64 the cap grows to K = 40 and a value
+    takes about 0.5 s (2-vCPU x86_64 VM).
+
+    Rounding, not the cap, limits the value away from the band centre, and
+    the imaginary part does not show it.  Against the same recursion in
+    50-digit arithmetic: at x, y = 0.5, -0.4 and nearer 0 the relative error
+    is at most 3e-13 at band n = W <= 24; at 1.5, -1.2 it is 1.4e-12 at
+    n = 16 and 2.1e-10 at n = 24, and on GUE's flat profile 1.1e-10 at
+    n = 20.  Raises ValueError if J is not a Gauss-Markov chain's covariance.
+    """
+    sigma, rho = _chain(profile)
+    cap, change, last = _CAP_STEP, 0.0, None
+    while True:
+        value, log_scale = _transfer(sigma, rho, l1, l2, cap)
+        if last is not None:
+            change = abs(value.real - last[0].real * math.exp(last[1] - log_scale)) / abs(value.real)
+        if 2 * cap > len(sigma) or (last is not None and change <= tol):
+            break
+        last = value, log_scale
+        cap += _CAP_STEP
+    sign = (value.real > 0) - (value.real < 0)
+    log_abs = math.log(abs(value.real)) + log_scale if sign else -math.inf
+    imag_ratio = abs(value.imag) / abs(value.real) if sign else math.inf
+    return TransferF2(sign, log_abs, cap, change, imag_ratio)
+
+
+def transfer_ratio(profile: CovarianceProfile, x: float, y: float, tol: float = 1e-10) -> float:
+    """The exact normalized moment F2(x, y) / (sqrt(F2(x, x)) sqrt(F2(y, y))) by `transfer_f2`."""
+    xy, xx, yy = (transfer_f2(profile, a, b, tol) for a, b in ((x, y), (x, x), (y, y)))
+    return xy.sign * math.exp(xy.log_abs - 0.5 * (xx.log_abs + yy.log_abs))

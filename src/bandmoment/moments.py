@@ -17,14 +17,15 @@ sample set, and errors by leave-one-block-out jackknife over 50 fixed blocks
 (one per sample below 50 samples).  `spectrum_counts` pools eigenvalue counts
 over samples for the spectrum.
 
-A scan's samples come in fixed 4096-sample blocks, each keyed by its start
-index, and a spectrum's samples each by its own index, so no bit depends on
-which thread runs a block or a sample, or in what order.  Every worker loop
-shares work the same way: it claims the next range in order from one locked
-counter (`_Claims`), which also counts finished work for `progress`.  Up to
-n = _SMALL_N_BATCH every scan worker claims whole blocks and samples and
-reduces each as one stack; above it the blocks run one after another, with
-every worker sharing each block (`tridiagonal_block`).
+Up to n = _SMALL_N_BATCH a scan's samples come in fixed 4096-sample blocks,
+each keyed by its start index and sampled and reduced as one stack; above it,
+and in a spectrum at every n, each sample is keyed by its own index, so no bit
+depends on which thread runs a block or a sample, or in what order.  Both
+commands run one worker loop (`_sample_runs`): each worker claims the next
+run of samples in order from one locked counter (`_Claims`), which also
+counts finished work for `progress`, reduces the run to tridiagonal form and
+hands it on.  A run of keyed samples is written into a slab of the worker's
+own and reduced there in place by LAPACK (`_slab_reducer`).
 
 The exact Isserlis-pairing oracle (dimension <= 3) the Monte Carlo path is
 validated against lives in `exact`; `wick_exact_f2` here calls it.
@@ -120,10 +121,9 @@ class _Claims:
     """Consecutive ranges of range(total), `step` long (the last may be shorter),
     handed out in order under one lock; `close` makes every later claim None.
 
-    `claim(draw)` also runs `draw(range)` under the lock, so draws from one
-    stream happen in claim order whichever thread claims.  `finish(k)` counts
-    k finished items and calls `progress(done, total)` under the same lock, so
-    the calls never overlap and the count they report only grows.
+    `finish(k)` counts k finished items and calls `progress(done, total)`
+    under the same lock, so the calls never overlap and the count they report
+    only grows.
     """
 
     def __init__(self, total: int, step: int, progress=None):
@@ -131,15 +131,11 @@ class _Claims:
         self._next = self._done = 0
         self._lock = threading.Lock()
 
-    def claim(self, draw=None) -> range | None:
+    def claim(self) -> range | None:
         with self._lock:
             first = self._next
             self._next = min(first + self.step, self.total)
-            if first == self._next:
-                return None
-            if draw is not None:
-                draw(range(first, self._next))
-            return range(first, self._next)
+            return None if first == self._next else range(first, self._next)
 
     def finish(self, count: int) -> None:
         with self._lock:
@@ -186,46 +182,80 @@ def _run_workers(work, threads: int, stop) -> None:
         raise errors[0]
 
 
-def tridiagonal_block(profile: CovarianceProfile, seed: int, start: int, count: int,
-                      threads: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def _sample_runs(samples: int, step: int, threads: int, progress, reducer, consume) -> None:
+    """Hand range(samples) out in runs of `step` to up to `threads` workers.
+
+    Each worker makes its own `reduce = reducer()` and, for each run it
+    claims, calls `consume(worker, run, *reduce(run))` with the run's
+    tridiagonal forms d and e, then counts the run for `progress(done,
+    total)`.  An error or Ctrl-C on any worker closes the claims, so the
+    others stop after their current run, and is re-raised here.
+    """
+    claims = _Claims(samples, step, progress)
+
+    def work(i):
+        reduce = reducer()
+        while (run := claims.claim()) is not None:
+            consume(i, run, *reduce(run))
+            claims.finish(len(run))
+
+    _run_workers(work, min(threads, -(-samples // step)), claims.close)
+
+
+def _run_length(n: int, samples: int, threads: int, points: int) -> int:
+    """Samples per run of keyed samples: at most 2^16 tridiagonal entries and 2^18
+    (sample, point) values, and at least 4 runs per thread."""
+    return max(1, min(2 ** 16 // n, 2 ** 18 // points, samples // (4 * threads)))
+
+
+def _slab_reducer(profile: CovarianceProfile, seed: int, step: int):
+    """One worker's reduction of runs of at most `step` samples, sample b keyed by RngStream(seed, b).
+
+    The worker holds one slab of about 2^16 matrix entries and the normals its
+    samples are drawn from (`sampler.write_samples`), reusing one Philox for
+    every sample (`sampler.keyed`).  A run goes through the slab a part at a
+    time.  Each row of the slab is a Fortran-ordered matrix, so LAPACK
+    reduces it where it lies.  The run's tridiagonal forms are kept whole,
+    because evaluating them costs a fixed overhead per call (about 1 ms at
+    n = 64) that a slab of 16 samples would not amortize.  Returns
+    reduce(run) -> (d, e), views of the worker's arrays that the next run
+    overwrites.
+    """
+    n = profile.size
+    rows = max(1, min(step, 2 ** 16 // n ** 2))
+    key = sampler.keyed(seed)
+    slab = np.zeros((rows, n * n), dtype=complex)
+    z = np.empty((rows, min(n * n, sampler._DRAW_PIECE)))
+    d, e = np.empty((step, n)), np.empty((step, n - 1))
+
+    def reduce(run):
+        for first in range(0, len(run), rows):
+            part = run[first:first + rows]
+            sampler.write_samples(profile, key, part, slab, z)
+            for j in range(len(part)):
+                d[first + j], e[first + j] = charpoly.tridiagonalize(slab[j].reshape(n, n).T,
+                                                                     overwrite_a=True)
+        return d[:len(run)], e[:len(run)]
+
+    return reduce
+
+
+def tridiagonal_block(profile: CovarianceProfile, seed: int, start: int,
+                      count: int) -> tuple[np.ndarray, np.ndarray]:
     """Tridiagonal forms of the `count` samples of `profile` keyed by RngStream(seed, start).
 
     Returns d (count, n) and e (count, n - 1) >= 0, with n = profile.size.
-    This is the reduction stage of `det_log_samples`' blocks; a spectrum keys
-    each sample by itself and writes it straight into a worker's buffer
-    (`spectrum_counts`).
-    A block of more than one sample up to n = _SMALL_N_BATCH is sampled as one
-    stack and reduced by the vectorized Householder, whose numpy overhead only
-    pays across a stack, on the calling thread (`det_log_samples` runs such
-    blocks on several threads, one block per worker).  Otherwise the calling
-    thread draws the block's real parts (`sampler.UpperBlock`), and up to
-    `threads` workers claim its runs of samples in stream order (`_Claims`),
-    each claim drawing its run's imaginary normals under the claim lock; each
-    worker writes a sample into its own buffer and reduces it in place by
-    LAPACK: the bits do not depend on `threads`, and the block is in memory
-    once.  An error or Ctrl-C on any worker closes the
-    claims, so the others stop at their next claim, and is re-raised here.
+    This is the reduction stage of a scan's blocks up to n = _SMALL_N_BATCH:
+    the block is sampled as one stack (`sampler.sample_batch`) and reduced by
+    the vectorized Householder, whose numpy overhead only pays across a
+    stack; a lone sample is reduced by LAPACK.  Above _SMALL_N_BATCH samples
+    are keyed one by one (`_slab_reducer`).
     """
-    n = profile.size
-    stream = sampler.RngStream(seed, start)
-    if n <= _SMALL_N_BATCH and count > 1:
-        return charpoly.tridiagonalize_batch(sampler.sample_batch(profile, stream, count))
-    d = np.empty((count, n))
-    e = np.empty((count, n - 1))
-    block = sampler.UpperBlock(profile, stream, count)
-    claims = _Claims(count, block.run)
-
-    def work(i):
-        own = np.zeros((n, n), dtype=complex, order="F")
-        z = block.normals()
-        while (run := claims.claim(lambda r: block.draw(z[:len(r)]))) is not None:
-            for j, b in enumerate(run):
-                d[b], e[b] = charpoly.tridiagonalize(block.write(b, z[j], own),
-                                                     overwrite_a=True)
-
-    runs = -(-count // block.run)
-    _run_workers(work, min(threads, runs), claims.close)
-    return d, e
+    H = sampler.sample_batch(profile, sampler.RngStream(seed, start), count)
+    if count > 1:
+        return charpoly.tridiagonalize_batch(H)
+    d, e = charpoly.tridiagonalize(H[0], overwrite_a=True)
+    return d[None], e[None]
 
 
 def _usable_cpus() -> int:
@@ -236,34 +266,24 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _eval_chunk(profile, lambdas, seed, start, count, threads, signs_out, logs_out):
-    """Fill one fixed block of the output arrays; its bits do not depend on `threads`."""
-    d, e = tridiagonal_block(profile, seed, start, count, threads)
-    s, lg = charpoly.char_det_many(d, e ** 2, lambdas)
-    # a NaN sign has a NaN log, so the row it lands on is rejected
-    with np.errstate(invalid="ignore"):
-        np.copyto(signs_out[start:start + count], s, casting="unsafe")
-    logs_out[start:start + count] = lg
-
-
 def det_log_samples(ensemble: str, n: int, W: float | None, lambdas,
                     samples: int, seed: int, threads: int | None = None,
                     progress=None) -> DetLogSamples:
     """Evaluate det(lambda - H) in signed-log form for `samples` fresh samples.
 
-    Each sample is tridiagonalized once and evaluated at every lambda.  Work
-    is split into fixed 4096-sample blocks keyed by their start index, each
-    filling its own rows, so the result is bit-identical for any thread count.
-    `threads` workers (default: the usable CPUs) run them.  Up to n =
-    _SMALL_N_BATCH each worker claims the next block in start order
-    (`_Claims`) and samples and reduces it as one stack, so it holds one
-    block's stack and its temporaries.  Above it the blocks run one after
-    another, and the workers share each one (`tridiagonal_block`).  An error
-    or Ctrl-C on any worker closes the claims, so the others stop after their
-    current block, and is re-raised here.  `progress(done, total)` is invoked
-    after each completed block, under the claim lock, from whichever worker
-    finished it, with the samples of all blocks completed so far, a count that
-    only grows (reporting only; does not affect results).
+    Each sample is tridiagonalized once and evaluated at every lambda, and
+    each run of samples fills its own rows, so the result is bit-identical
+    for any thread count.  `threads` workers (default: the usable CPUs) run
+    the runs (`_sample_runs`).  Up to n = _SMALL_N_BATCH a run is a fixed
+    4096-sample block keyed by its start index, sampled and reduced as one
+    stack (`tridiagonal_block`).  Above it sample b is keyed by
+    RngStream(seed, b), as in `spectrum_counts`, and each worker holds one
+    slab of about 2^16 matrix entries (`_slab_reducer`), not a block.  An
+    error or Ctrl-C on any worker stops the others after their current run
+    and is re-raised here.  `progress(done, total)` is invoked after each
+    completed run, under the claim lock, from whichever worker finished it,
+    with the samples of all runs completed so far, a count that only grows
+    (reporting only; does not affect results).
     """
     if samples < 2:
         raise EstimatorError("need at least 2 samples")
@@ -283,16 +303,26 @@ def det_log_samples(ensemble: str, n: int, W: float | None, lambdas,
         threads = _usable_cpus()
     signs = np.empty((samples, len(lambdas)), dtype=np.int8)
     logs = np.empty((samples, len(lambdas)))
-    claims = _Claims(samples, _CHUNK, progress)
-    per_block = n <= _SMALL_N_BATCH  # whole blocks per worker; else one passes `threads` on
+    if n <= _SMALL_N_BATCH:
+        step = _CHUNK
 
-    def work(i):
-        while (block := claims.claim()) is not None:
-            _eval_chunk(profile, lambdas, seed, block.start, len(block),
-                        1 if per_block else threads, signs, logs)
-            claims.finish(len(block))
+        def reducer():
+            return lambda run: tridiagonal_block(profile, seed, run.start, len(run))
+    else:
+        step = _run_length(n, samples, threads, len(lambdas))
+        sampler._upper_entries(profile)  # built here, not by every worker missing the cache at once
 
-    _run_workers(work, min(threads, -(-samples // _CHUNK)) if per_block else 1, claims.close)
+        def reducer():
+            return _slab_reducer(profile, seed, step)
+
+    def consume(i, run, d, e):
+        s, lg = charpoly.char_det_many(d, e ** 2, lambdas)
+        # a NaN sign has a NaN log, so the row it lands on is rejected
+        with np.errstate(invalid="ignore"):
+            np.copyto(signs[run.start:run.stop], s, casting="unsafe")
+        logs[run.start:run.stop] = lg
+
+    _sample_runs(samples, step, threads, progress, reducer, consume)
 
     # a row is usable if every entry is either finite or an exact-zero marker (-inf);
     # a NaN or +inf log makes the row max fail the comparison
@@ -310,39 +340,29 @@ def spectrum_counts(profile: CovarianceProfile, edges: np.ndarray, samples: int,
                     threads: int | None = None, progress=None) -> np.ndarray:
     """Eigenvalue counts below each of `edges`, summed over `samples` samples of `profile`.
 
-    Sample b is keyed by RngStream(seed, b).  Up to `threads` workers
-    (default: the usable CPUs) claim runs of consecutive samples (`_Claims`).
-    A worker keeps one (n, n) buffer for the whole run: it writes each sample
-    into it (`sampler.write_sample`) and reduces it there in place, then
-    counts the run as one stack into totals of its own: a Sturm count of one
-    sample is mostly interpreter overhead, and one sample at n = 4 (~170 us)
-    is too little to claim alone.  A run holds about 2^16 matrix entries and
-    at most 2^18 pivots per step of the count (2 MB), and there are at least
-    4 runs per thread.  The counts are integers, so their sum depends neither
-    on the run length nor on `threads`.  `progress(done, total)` is called
-    after each run, under the claim lock.
+    Sample b is keyed by RngStream(seed, b), at every n.  Up to `threads`
+    workers (default: the usable CPUs) claim runs of consecutive samples
+    (`_sample_runs`); each writes a run into a slab of its own, reduces it
+    there in place (`_slab_reducer`) and counts it as one stack into totals of
+    its own: a Sturm count of one sample is mostly interpreter overhead.  A
+    run holds about 2^16 matrix entries and at most 2^18 pivots per step of
+    the count (2 MB), and there are at least 4 runs per thread; from n = 257
+    a run is one sample, whose normals are drawn in pieces.  The counts are
+    integers, so their sum depends neither on the run length nor on
+    `threads`.  `progress(done, total)` is called after each run, under the
+    claim lock.
     """
     if threads is None:
         threads = _usable_cpus()
-    n = profile.size
-    step = max(1, min(2 ** 16 // n ** 2, 2 ** 18 // len(edges), samples // (4 * threads)))
-    claims = _Claims(samples, step, progress)
-    workers = min(threads, -(-samples // step))
-    pooled = np.zeros((workers, len(edges)), dtype=np.int64)
+    step = _run_length(profile.size, samples, threads, len(edges))
+    pooled = np.zeros((min(threads, -(-samples // step)), len(edges)), dtype=np.int64)
     sampler._upper_entries(profile)  # built here, not by every worker missing the cache at once
 
-    def work(i):
-        buf = np.zeros((n, n), dtype=complex, order="F")
-        d, e = np.empty((step, n)), np.empty((step, n - 1))
-        while (run := claims.claim()) is not None:
-            for j, b in enumerate(run):
-                sampler.write_sample(profile, sampler.RngStream(seed, b), buf)
-                d[j], e[j] = charpoly.tridiagonalize(buf, overwrite_a=True)
-            k = len(run)
-            pooled[i] += charpoly.count_below_many(d[:k], e[:k] ** 2, edges).sum(axis=0)
-            claims.finish(k)
+    def consume(i, run, d, e):
+        pooled[i] += charpoly.count_below_many(d, e ** 2, edges).sum(axis=0)
 
-    _run_workers(work, workers, claims.close)
+    _sample_runs(samples, step, threads, progress,
+                 lambda: _slab_reducer(profile, seed, step), consume)
     return pooled.sum(axis=0)
 
 

@@ -417,11 +417,12 @@ def test_interrupt_in_progress_cancels_queued_work(tmp_path, monkeypatch, comman
 
     started = []
     if command == "moment-scan":
-        def fake_chunk(profile, lambdas, seed, start, count, threads, signs, logs):
+        def fake_block(profile, seed, start, count):
             started.append(start)
             time.sleep(0.05)
+            return np.zeros((count, profile.size)), np.zeros((count, profile.size - 1))
 
-        monkeypatch.setattr(mo, "_eval_chunk", fake_chunk)
+        monkeypatch.setattr(mo, "tridiagonal_block", fake_block)
         cfg = write_cfg(tmp_path / "c.cfg", BASE_SCAN.replace("samples = 2000",
                                                               f"samples = {64 * mo._CHUNK}"))
     else:
@@ -583,7 +584,7 @@ def test_spectrum_unwritable_output_exits_before_sampling(tmp_path, monkeypatch,
     def never(*args, **kwargs):
         raise AssertionError("sampled before the output was opened")
 
-    monkeypatch.setattr(mo.sampler, "write_sample", never)
+    monkeypatch.setattr(mo.sampler, "write_samples", never)
     cfg = write_cfg(tmp_path / "c.cfg", "ensemble = gue\nn_dim = 4\nsamples = 10\n")
     out = str(tmp_path / "missing" / "x.csv")
     assert run_cli(["spectrum", "--config", cfg, "--out", out, "--quiet"]) == 2
@@ -596,7 +597,7 @@ def test_spectrum_interrupt_flushes_incomplete_trailer(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(mo.sampler, "write_sample", boom)
+    monkeypatch.setattr(mo.sampler, "write_samples", boom)
     cfg = write_cfg(tmp_path / "c.cfg", "ensemble = gue\nn_dim = 4\nsamples = 10\n")
     out = tmp_path / "spectrum.csv"
     assert run_cli(["spectrum", "--config", cfg, "--out", str(out), "--quiet"]) == 130

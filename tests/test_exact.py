@@ -1,11 +1,15 @@
-"""GUE's exact F2 at any order: the Christoffel-Darboux sum against two independent forms."""
+"""Exact F2 at any order: GUE's Christoffel-Darboux sum against two independent forms, and
+the band transfer recursion against the pairing oracle, the dual rule and the CD sum."""
 
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from bandmoment import exact
+from bandmoment.dualrep import dual_f2
+from bandmoment.lattice import CovarianceProfile, Lattice1D, covariance_profile
 from bandmoment.saddle import scaled_lambdas, sine_kernel
 from bandmoment.sampler import gue_profile
 
@@ -61,3 +65,50 @@ def test_stays_in_double_range():
 def test_rejects_empty_order():
     with pytest.raises(ValueError, match="order"):
         exact.gue_log_f2(0, 0.0, 0.0)
+
+
+def transfer(profile, x, y):
+    t = exact.transfer_f2(profile, x, y)
+    assert t.imag_ratio == 0.0 or t.imag_ratio < 1e-13
+    return t.sign * math.exp(t.log_abs)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("W", [0.7, 1.3, 2.0])
+def test_transfer_matches_wick_oracle_and_dual_rule(n, W):
+    prof = covariance_profile(Lattice1D(n), W)
+    for x, y in ((0.3, -0.2), (1.1, 0.7), (0.0, 0.0), (-2.5, 0.9)):
+        value = transfer(prof, x, y)
+        assert value == pytest.approx(exact.wick_exact_f2(x, y, prof), rel=1e-13)
+        if n <= 2:
+            assert value == pytest.approx(dual_f2(x, y, prof).real, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [2, 5, 10, 20])
+def test_transfer_matches_cd_sum_on_the_flat_profile(n):
+    # GUE's profile is the chain with rho = 1: nothing decays, and K > n keeps every degree
+    for x, y in ((0.3, -0.2), (1.1, 0.7), (0.0, 0.0)):
+        assert transfer(gue_profile(n), x, y) == pytest.approx(f2(n, x, y), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, expected", [(16, -0.3023), (32, -0.3052)])
+def test_transfer_sine_kernel_deviation(n, expected):
+    # N (ratio - sine) at band n = W, lambda0 = 0, delta = 1
+    p = scaled_lambdas(0.0, 0.5, -0.5, n)
+    ratio = exact.transfer_ratio(covariance_profile(Lattice1D(n), float(n)), p.lambda1, p.lambda2)
+    assert n * (ratio - sine_kernel(1.0)) == pytest.approx(expected, abs=5e-5)
+
+
+def test_transfer_cap_settles():
+    # the cap stops growing once the value moves by at most tol, or once 2K > n,
+    # where the cut cannot reach a[0, 0, 0]
+    prof = covariance_profile(Lattice1D(64), 64.0)
+    t = exact.transfer_f2(prof, 0.05, -0.05, tol=1e-2)
+    assert t.cap == 32 and 0 < t.change <= 1e-2
+    assert exact.transfer_f2(prof, 0.05, -0.05, tol=0.0).cap == 40
+
+
+def test_transfer_rejects_a_profile_that_is_no_chain():
+    J = np.array([[1.0, 0.1, 0.4], [0.1, 1.0, 0.1], [0.4, 0.1, 1.0]])
+    with pytest.raises(ValueError, match="Markov"):
+        exact.transfer_f2(CovarianceProfile(J), 0.1, 0.2)

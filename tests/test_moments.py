@@ -114,18 +114,22 @@ class TestMcF2:
                 assert getattr(est, name).hex() == getattr(threaded[key], name).hex()
 
     def test_failed_block_cancels_queued_blocks(self, monkeypatch):
+        # above n = 8 a run of keyed samples fails; the runs no worker has claimed are not run
         started = []
 
-        def fake_chunk(profile, lambdas, seed, start, count, threads, signs, logs):
-            started.append(start)
-            if start == mo._CHUNK:
-                raise RuntimeError("block 1 failed")
-            time.sleep(0.05)
+        def fake_reducer(profile, seed, step):
+            def reduce(run):
+                started.append(run.start)
+                if run.start == step:
+                    raise RuntimeError("run 1 failed")
+                time.sleep(0.05)
+                return np.zeros((len(run), 16)), np.zeros((len(run), 15))
+            return reduce
 
-        monkeypatch.setattr(mo, "_eval_chunk", fake_chunk)
-        with pytest.raises(RuntimeError, match="block 1 failed"):
+        monkeypatch.setattr(mo, "_slab_reducer", fake_reducer)
+        with pytest.raises(RuntimeError, match="run 1 failed"):
             mo.det_log_samples("band", 16, 4.0, [0.0], 8 * mo._CHUNK, 1, threads=2)
-        assert mo._CHUNK in started
+        assert mo._CHUNK in started  # runs of 4096: samples // (4 * threads)
         assert len(started) < 8
 
 
@@ -155,19 +159,6 @@ class TestClaims:
         assert claims.claim() == range(0, 4)
         claims.close()
         assert claims.claim() is None
-        assert claims.claim(lambda run: pytest.fail("drew after close")) is None
-
-    def test_draws_run_in_claim_order(self):
-        # draws land in range order however the eight workers interleave
-        claims, drawn, claimed = mo._Claims(20_000, 3), [], []
-
-        def work(i):
-            while (run := claims.claim(drawn.append)) is not None:
-                claimed.append(run)
-
-        self.run_workers(claims, work)
-        assert drawn == [range(b, min(b + 3, 20_000)) for b in range(0, 20_000, 3)]
-        assert sorted(claimed, key=lambda run: run.start) == drawn
 
     def test_finish_reports_increasing_counts(self):
         reports = []
@@ -198,14 +189,16 @@ class TestClaims:
 
 
 class TestSharedBlock:
-    # a block's workers claim runs of samples in order, so the bits do not depend on threads
+    # above n = 8 each sample is keyed by its index, so the bits do not depend on
+    # threads, on the run length or on _CHUNK
     @pytest.mark.parametrize("n", [9, 16, 48, 64])
     @pytest.mark.parametrize("samples, chunk", [
-        (5, None),         # one short claim: fewer samples than workers
-        (83, None),        # at n = 64, five 16-sample claims and a short one
-        (83, 40),          # blocks of 40, 40 and 3 samples
+        (5, None),         # runs of one sample: fewer than four runs per worker
+        (83, None),        # runs of 20, 10, 6 and 2 samples at 1, 2, 3 and 8 threads
+        (83, 40),          # _CHUNK patched: blocks of 40, 40 and 3 samples up to n = 8
     ])
     def test_bits_independent_of_threads(self, n, samples, chunk, monkeypatch):
+        unpatched = mo.det_log_samples("band", n, float(n), [0.0, 0.3], samples, 11, threads=1)
         if chunk is not None:
             monkeypatch.setattr(mo, "_CHUNK", chunk)
         before = helper_threads()
@@ -217,9 +210,9 @@ class TestSharedBlock:
         finally:
             sys.setswitchinterval(interval)
         assert helper_threads() == before
-        for dets in runs[1:]:
-            assert dets.signs.tobytes() == runs[0].signs.tobytes()
-            assert dets.logmags.tobytes() == runs[0].logmags.tobytes()
+        for dets in runs:
+            assert dets.signs.tobytes() == unpatched.signs.tobytes()
+            assert dets.logmags.tobytes() == unpatched.logmags.tobytes()
 
     @staticmethod
     def reductions(monkeypatch, fail):
@@ -241,10 +234,9 @@ class TestSharedBlock:
                 raise RuntimeError("helper failed")
 
         calls = self.reductions(monkeypatch, fail)
-        prof = covariance_profile(Lattice1D(64), 64.0)
         before = helper_threads()
         with pytest.raises(RuntimeError, match="helper failed"):
-            mo.tridiagonal_block(prof, 3, 0, 512, threads=2)
+            mo.det_log_samples("band", 64, 64.0, [0.0], 512, 3, threads=2)
         assert helper_threads() == before
         assert any(t is not threading.main_thread() for t in calls)
         assert len(calls) < 512 // 2
@@ -260,28 +252,27 @@ class TestSharedBlock:
                     raise KeyboardInterrupt
 
         calls = self.reductions(monkeypatch, fail)
-        prof = covariance_profile(Lattice1D(64), 64.0)
         before = helper_threads()
         with pytest.raises(KeyboardInterrupt):
-            mo.tridiagonal_block(prof, 3, 0, 512, threads=3)
+            mo.det_log_samples("band", 64, 64.0, [0.0], 512, 3, threads=3)
         assert helper_threads() == before
         assert len(calls) > len(main_calls)  # the helpers reduced too
         # after the interrupt each of the two helpers finishes at most its current claim
-        run = mo.sampler._DRAW_PIECE // 64 ** 2  # samples per claim
+        run = mo._run_length(64, 512, 3, 1)  # samples per claim
         assert len(calls) - cut[0] <= 2 * run and len(calls) < 512
 
-    def test_two_workers_hold_one_block(self):
-        # the bound of test_sampler's test_block_memory_is_the_packed_real_half for one worker
-        n, count = 64, 512
-        prof = covariance_profile(Lattice1D(n), 64.0)
-        mo.tridiagonal_block(prof, 7, 0, 64, threads=2)  # caches outside the trace
+    def test_scan_holds_no_block(self):
+        # a 4096-sample n = 64 scan holds a slab of about 1 MB per worker, not the
+        # 68 MB of one packed block of real parts
+        n = 64
+        mo.det_log_samples("band", n, 64.0, [0.0, 0.3], 64, 7, threads=2)  # caches outside the trace
         tracemalloc.start()
         try:
-            mo.tridiagonal_block(prof, 7, 0, count, threads=2)
+            mo.det_log_samples("band", n, 64.0, [0.0, 0.3], 4096, 7, threads=2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= count * n * (n + 1) // 2 * 8 + 4 * 2**20
+        assert peak <= 16 * 2**20
 
 
 class TestSmallNBlocks:
@@ -312,14 +303,14 @@ class TestSmallNBlocks:
         """Record each block's start and thread as it begins; `fail(start, started)` may raise."""
         started, lock = [], threading.Lock()
 
-        def fake_chunk(profile, lambdas, seed, start, count, threads, signs, logs):
-            assert threads == 1  # a block is not shared at small n
+        def fake_block(profile, seed, start, count):
             with lock:
                 started.append((start, threading.current_thread()))
             fail(start, started)
             time.sleep(0.05)
+            return np.zeros((count, profile.size)), np.zeros((count, profile.size - 1))
 
-        monkeypatch.setattr(mo, "_eval_chunk", fake_chunk)
+        monkeypatch.setattr(mo, "tridiagonal_block", fake_block)
         return started
 
     def test_failed_block_is_reraised_and_stops_the_rest(self, monkeypatch):

@@ -1,9 +1,8 @@
-"""Ensemble sampling: determinism, Hermiticity, entry covariances, block memory."""
+"""Ensemble sampling: determinism, Hermiticity, entry covariances, one sample layout."""
 
 import gc
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,9 +91,9 @@ class TestUpperEntries:
         first = sm._upper_entries(prof)
         second = sm._upper_entries(prof)
         assert all(a is b for a, b in zip(first, second))
-        assert not first[2].flags.writeable
+        assert not first[0].flags.writeable and not first[1].flags.writeable
         other = sm._upper_entries(covariance_profile(Lattice1D(6), 2.0))
-        assert other[2] is not first[2] and np.array_equal(other[2], first[2])
+        assert other[1] is not first[1] and np.array_equal(other[1], first[1])
 
     def test_threads_share_one_entry(self):
         # threads that miss the cache at once still all get the entry that is kept
@@ -107,7 +106,7 @@ class TestUpperEntries:
 
                 def work():
                     barrier.wait(timeout=10)
-                    got.append(sm._upper_entries(prof)[2])
+                    got.append(sm._upper_entries(prof)[1])
 
                 workers = [threading.Thread(target=work) for _ in range(8)]
                 for t in workers:
@@ -115,7 +114,7 @@ class TestUpperEntries:
                 for t in workers:
                     t.join(timeout=10)
                 assert not any(t.is_alive() for t in workers)
-                assert len(got) == 8 and all(sd is sm._upper_entries(prof)[2] for sd in got)
+                assert len(got) == 8 and all(sd is sm._upper_entries(prof)[1] for sd in got)
         finally:
             sys.setswitchinterval(old)
 
@@ -130,87 +129,84 @@ class TestUpperEntries:
         assert len(sm._entries_cache) == before
 
 
-def upper_samples(prof, stream, count, buf):
-    """Every sample of an UpperBlock, in order, written into `buf` as one worker writes them."""
-    block = sm.UpperBlock(prof, stream, count)
-    z = block.normals()
-    for first in range(0, count, block.run):
-        run = range(first, min(first + block.run, count))
-        block.draw(z[:len(run)])
-        for j, b in enumerate(run):
-            yield block.write(b, z[j], buf)
+class TestKeyed:
+    @pytest.mark.parametrize("index", [0, 1, 4095, 4096, 2 ** 63])
+    def test_equals_a_fresh_generator(self, index):
+        # the re-keyed Philox draws RngStream(seed, index)'s stream, whatever it drew before
+        key = sm.keyed(123)
+        key(index + 1).standard_normal(7)
+        key(index + 1).integers(0, 10, size=3, dtype=np.uint32)  # leaves a half-used word
+        assert key(index).standard_normal(5000).tobytes() == (
+            sm.RngStream(123, index).generator().standard_normal(5000).tobytes())
+
+
+def upper_samples(prof, seed, start, count, rows):
+    """Samples start, ..., start + count - 1, sample b keyed by RngStream(seed, b), written
+    `rows` at a time into one slab and reduced there in place, as a worker writes them."""
+    from bandmoment.charpoly import tridiagonalize
+
+    n = prof.size
+    key = sm.keyed(seed)
+    slab = np.zeros((rows, n * n), dtype=complex)
+    z = np.empty((rows, min(n * n, sm._DRAW_PIECE)))
+    for first in range(start, start + count, rows):
+        run = range(first, min(first + rows, start + count))
+        sm.write_samples(prof, key, run, slab, z)
+        for j in range(len(run)):
+            yield slab[j].reshape(n, n).T
+            tridiagonalize(slab[j].reshape(n, n).T, overwrite_a=True)
+
+
+def upper(X):
+    n = X.shape[-1]
+    return X[np.triu_indices(n)].tobytes()
 
 
 class TestUpperSamples:
-    @staticmethod
-    def upper(X):
-        n = X.shape[-1]
-        return X[np.triu_indices(n)].tobytes()
-
     @pytest.mark.parametrize("kind,n", [("band", 9), ("band", 16), ("gue", 12)])
     def test_bitwise_equal_to_sample_batch(self, kind, n):
+        # a slab's samples equal sample_batch's one-sample stacks of the same keys
         prof = covariance_profile(Lattice1D(n), 3.0) if kind == "band" else sm.gue_profile(n)
-        piece = sm._DRAW_PIECE // (n * n)  # samples per draw
+        piece = sm._DRAW_PIECE // (n * n)  # samples per slab
         for count in (5, 2 * piece + 3):
-            H = sm.sample_batch(prof, sm.RngStream(61, 4096), count)
-            buf = np.zeros((n, n), dtype=complex, order="F")
             seen = 0
-            for b, a in enumerate(upper_samples(prof, sm.RngStream(61, 4096), count, buf)):
-                assert a is buf
-                assert self.upper(a) == self.upper(H[b])
+            for b, a in enumerate(upper_samples(prof, 61, 4096, count, piece)):
+                H = sm.sample_batch(prof, sm.RngStream(61, 4096 + b), 1)[0]
+                assert upper(a) == upper(H)
                 assert not np.tril(a, -1).any() and not np.diag(a).imag.any()
                 seen += 1
             assert seen == count
 
-    def test_claims_in_order_and_close(self):
-        # a block's runs, claimed from the library's claim counter, each draw their normals
-        from bandmoment.moments import _Claims
-
-        prof = covariance_profile(Lattice1D(16), 3.0)
-        count = 2 * (sm._DRAW_PIECE // 16 ** 2) + 3
-        block = sm.UpperBlock(prof, sm.RngStream(5), count)
-        z, drawn = block.normals(), []
-
-        def draw(run):
-            block.draw(z[:len(run)])
-            drawn.append(run)
-
-        claims = _Claims(count, block.run)
-        runs = [claims.claim(draw) for _ in range(4)]
-        assert runs == [range(0, block.run), range(block.run, 2 * block.run),
-                        range(2 * block.run, 2 * block.run + 3), None]
-        assert drawn == runs[:3]
-        claims = _Claims(count, block.run)
-        assert claims.claim(draw) == range(0, block.run)
-        claims.close()
-        assert claims.claim(draw) is None and len(drawn) == 4
-
-    def test_block_memory_is_the_packed_real_half(self):
-        # a block keeps n(n+1)/2 scaled real normals per sample, no (count, n, n) stack
-        n, count = 64, 512
-        prof = covariance_profile(Lattice1D(n), 64.0)
-        buf = np.zeros((n, n), dtype=complex, order="F")
-        tracemalloc.start()
-        try:
-            for _ in upper_samples(prof, sm.RngStream(7), count, buf):
-                pass
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= count * n * (n + 1) // 2 * 8 + 4 * 2**20
-
     def test_single_sample_equals_sample_rbm_and_gue(self):
         n = 11
         prof = covariance_profile(Lattice1D(n), 2.0)
-        buf = np.zeros((n, n), dtype=complex, order="F")
         s = sm.RngStream(42, 7)
         gue = sm.gue_profile(n)
-        a = next(upper_samples(prof, s, 1, buf))
-        assert self.upper(a) == self.upper(sm.sample_rbm(prof, s))
-        a = next(upper_samples(gue, s, 1, buf))
-        assert self.upper(a) == self.upper(sm.sample_rbm(gue, s))
+        a = next(upper_samples(prof, 42, 7, 1, 1))
+        assert upper(a) == upper(sm.sample_rbm(prof, s))
+        a = next(upper_samples(gue, 42, 7, 1, 1))
+        assert upper(a) == upper(sm.sample_rbm(gue, s))
         assert sm.sample_rbm(prof, s).tobytes() == sm.sample_batch(prof, s, 1)[0].tobytes()
         assert sm.sample_rbm(gue, s).tobytes() == sm.sample_batch(gue, s, 1)[0].tobytes()
+
+    def test_stack_takes_consecutive_normals(self):
+        # sample b of a stack takes normals b n^2, ..., (b + 1) n^2 - 1 of the stream
+        n, count = 5, 3
+        prof = covariance_profile(Lattice1D(n), 2.0)
+        H = sm.sample_batch(prof, sm.RngStream(9, 2), count)
+        z = sm.RngStream(9, 2).generator().standard_normal((count, n * n))
+        rows = np.zeros((count, n * n), dtype=complex)
+        sm._scatter(prof, z, 0, rows)
+        for b in range(count):
+            assert upper(H[b]) == upper(rows[b].reshape(n, n).T)
+
+
+def write_one(prof, stream, width):
+    """One sample of `stream` written as a worker writes it, the normals `width` at a time."""
+    n = prof.size
+    rows = np.zeros((1, n * n), dtype=complex)
+    sm.write_samples(prof, lambda b: stream.generator(), [0], rows, np.empty((1, width)))
+    return rows[0].reshape(n, n).T
 
 
 class TestWriteSample:
@@ -218,16 +214,26 @@ class TestWriteSample:
     def test_bitwise_equal_to_sample_batch(self, n):
         # one piece of normals, a piece's edge (256^2 = _DRAW_PIECE), a row split
         # across two pieces, and sixteen pieces; each write lands on the last
-        # sample's buffer after LAPACK reduced it in place, as in a spectrum worker
+        # sample's slab after LAPACK reduced it in place, as in a worker
         from bandmoment.charpoly import tridiagonalize
 
         prof = covariance_profile(Lattice1D(n), max(1.0, n / 10))
-        buf = np.zeros((n, n), dtype=complex, order="F")
+        rows = np.zeros((1, n * n), dtype=complex)
+        z = np.empty((1, min(n * n, sm._DRAW_PIECE)))
         for index in (5, 6):
             stream = sm.RngStream(83, index)
-            a = sm.write_sample(prof, stream, buf)
-            assert a is buf
+            sm.write_samples(prof, lambda b: sm.RngStream(83, b).generator(), [index], rows, z)
+            a = rows[0].reshape(n, n).T
             H = sm.sample_batch(prof, stream, 1)[0]
-            assert TestUpperSamples.upper(a) == TestUpperSamples.upper(H)
+            assert upper(a) == upper(H)
             assert not np.tril(a, -1).any() and not np.diag(a).imag.any()
-            tridiagonalize(buf, overwrite_a=True)
+            tridiagonalize(a, overwrite_a=True)
+
+    @pytest.mark.parametrize("n", [256, 257, 1000])
+    def test_pieced_draw_equals_one_shot(self, n):
+        # normals drawn a piece at a time land where one draw of all n^2 puts them
+        prof = covariance_profile(Lattice1D(n), n / 10)
+        stream = sm.RngStream(17, 3)
+        whole = upper(write_one(prof, stream, n * n))
+        for width in (sm._DRAW_PIECE, 1000):
+            assert upper(write_one(prof, stream, width)) == whole
