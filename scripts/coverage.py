@@ -1,13 +1,13 @@
 """Coverage ledger: how often the Monte Carlo ratios' error bars cover the exact ratio.
 
-    python3 scripts/coverage.py [--seeds 20] [--samples 20000] [--mc-src DIR] [--configs ...]
+    python3 scripts/coverage.py [--seeds 20] [--mc-src DIR]
 
 For each Monte Carlo configuration of the acceptance gate (`moment_scan` at
-lambda0 = 0 over the pairs (d/2, -d/2), d in the gate's delta grid), it runs
-`--seeds` seeds 1_000_001, 1_000_002, ..., disjoint from the gate's, and
-compares every ratio with the exact finite-N ratio: `exact.gue_ratio` for
-GUE n = 100 and `exact.transfer_ratio` for band n = W = 16, 32 and 64.  Per
-configuration it prints the fraction of ratios within 1 and 2 stderr, with
+lambda0 = 0 over the pairs (d/2, -d/2), d in the gate's delta grid), it draws
+SAMPLES samples at each of `--seeds` seeds 1_000_001, 1_000_002, ...,
+disjoint from the gate's, and compares every ratio with the exact finite-N
+ratio: `exact.gue_ratio` for GUE n = 100 and `exact.transfer_ratio` for band
+n = W = 16, 32 and 64.  Per configuration it prints the fraction of ratios within 1 and 2 stderr, with
 its binomial error, the mean z = (ratio - exact) / stderr per delta, and the
 RMSE against the exact ratio.  The ratios of one seed share their samples, so
 the binomial error understates the spread.
@@ -37,17 +37,17 @@ CONFIGS = {  # name: ensemble, n, W
     "band_n64": ("band", 64, 64.0),
 }
 FIRST_SEED = 1_000_001
+SAMPLES = 20_000
 
 
-def monte_carlo(names, seeds: int, samples: int) -> None:
+def monte_carlo(seeds: int) -> None:
     """Print one JSON line of ratios and stderrs per configuration and seed."""
     from bandmoment import moments
 
     pairs = [(d / 2, -d / 2) for d in DELTAS]
-    for name in names:
-        ensemble, n, W = CONFIGS[name]
+    for name, (ensemble, n, W) in CONFIGS.items():
         for seed in range(FIRST_SEED, FIRST_SEED + seeds):
-            res = moments.moment_scan(ensemble, n, W, 0.0, pairs, samples, seed)
+            res = moments.moment_scan(ensemble, n, W, 0.0, pairs, SAMPLES, seed)
             print(json.dumps({"config": name, "seed": seed, "ratio": [r.ratio for r in res],
                               "stderr": [r.stderr for r in res]}), flush=True)
 
@@ -89,23 +89,20 @@ def ledger(name: str, runs: list[dict], exact: list[float]) -> list[str]:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, default=20)
-    ap.add_argument("--samples", type=int, default=20_000)
     ap.add_argument("--mc-src", default=str(SRC), help="the src/ the Monte Carlo imports")
-    ap.add_argument("--configs", default=",".join(CONFIGS))
     ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
     args = ap.parse_args()
-    names = args.configs.split(",")
     if args.child:
         sys.path.insert(0, args.mc_src)
-        monte_carlo(names, args.seeds, args.samples)
+        monte_carlo(args.seeds)
         return
     sys.path.insert(0, str(SRC))
     child = subprocess.run([sys.executable, __file__, "--child", *sys.argv[1:]],
                            capture_output=True, text=True, check=True)
     runs = [json.loads(line) for line in child.stdout.splitlines()]
     print(f"# Monte Carlo from {Path(args.mc_src).resolve()}, exact values from {SRC}, "
-          f"{args.samples} samples per seed")
-    for name in names:
+          f"{SAMPLES} samples per seed")
+    for name in CONFIGS:
         print("\n".join(ledger(name, [r for r in runs if r["config"] == name], exact_ratios(name))))
 
 

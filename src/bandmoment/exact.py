@@ -55,6 +55,7 @@ from .lattice import CovarianceProfile
 _RESCALE = 1e100
 _WICK_MAX_N = 3
 _CAP_STEP = 8        # the transfer tensor's cap grows by this many degrees per axis
+_TOL = 1e-10         # relative change of a transfer value at which its cap stops growing
 _MARKOV_TOL = 1e-9   # largest |J - chain J| / max J that transfer_f2 accepts
 
 
@@ -241,8 +242,7 @@ def _transfer(sigma, rho, l1: float, l2: float, cap: int) -> tuple[complex, floa
     return (-1) ** n * complex(a[0, 0, 0]), log_scale
 
 
-def transfer_f2(profile: CovarianceProfile, l1: float, l2: float,
-                tol: float = 1e-10) -> TransferF2:
+def transfer_f2(profile: CovarianceProfile, l1: float, l2: float) -> TransferF2:
     """Exact F2(l1, l2) of a profile whose J^-1 is tridiagonal, by the transfer recursion.
 
     The sites are run backward, n to 1: for j < n the tensor is first
@@ -251,7 +251,7 @@ def transfer_f2(profile: CovarianceProfile, l1: float, l2: float,
     largest entry, whose log adds to a running scale.  The answer is (-1)^n
     a[0, 0, 0] times the scale.  The tensor grows by one degree per axis and
     site, up to a cube cap K: K starts at 8 and grows by 8 until the value
-    moves by at most `tol` relative, or until 2K > n.  Then the cut is exact:
+    moves by at most _TOL relative, or until 2K > n.  Then the cut is exact:
     a degree K first appears after K sites, and each site lowers a degree by
     at most one, so the n - K sites left cannot bring it back to 0.  A cap
     costs about n K^3: at band n = W = 64 the cap grows to K = 40 and a value
@@ -270,7 +270,7 @@ def transfer_f2(profile: CovarianceProfile, l1: float, l2: float,
         value, log_scale = _transfer(sigma, rho, l1, l2, cap)
         if last is not None:
             change = abs(value.real - last[0].real * math.exp(last[1] - log_scale)) / abs(value.real)
-        if 2 * cap > len(sigma) or (last is not None and change <= tol):
+        if 2 * cap > len(sigma) or (last is not None and change <= _TOL):
             break
         last = value, log_scale
         cap += _CAP_STEP
@@ -280,7 +280,7 @@ def transfer_f2(profile: CovarianceProfile, l1: float, l2: float,
     return TransferF2(sign, log_abs, cap, change, imag_ratio)
 
 
-def transfer_ratio(profile: CovarianceProfile, x: float, y: float, tol: float = 1e-10) -> float:
+def transfer_ratio(profile: CovarianceProfile, x: float, y: float) -> float:
     """The exact normalized moment F2(x, y) / (sqrt(F2(x, x)) sqrt(F2(y, y))) by `transfer_f2`."""
-    xy, xx, yy = (transfer_f2(profile, a, b, tol) for a, b in ((x, y), (x, x), (y, y)))
+    xy, xx, yy = (transfer_f2(profile, a, b) for a, b in ((x, y), (x, x), (y, y)))
     return xy.sign * math.exp(xy.log_abs - 0.5 * (xx.log_abs + yy.log_abs))

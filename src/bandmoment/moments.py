@@ -202,10 +202,10 @@ def _sample_runs(samples: int, step: int, threads: int, progress, reducer, consu
     _run_workers(work, min(threads, -(-samples // step)), claims.close)
 
 
-def _run_length(n: int, samples: int, threads: int, points: int) -> int:
-    """Samples per run of keyed samples: at most 2^16 tridiagonal entries and 2^18
-    (sample, point) values, and at least 4 runs per thread."""
-    return max(1, min(2 ** 16 // n, 2 ** 18 // points, samples // (4 * threads)))
+def _run_length(entries: int, samples: int, threads: int, points: int) -> int:
+    """Samples per run of keyed samples that each hold `entries` values: at most
+    2^16 such values and 2^18 (sample, point) values, and at least 4 runs per thread."""
+    return max(1, min(2 ** 16 // entries, 2 ** 18 // points, samples // (4 * threads)))
 
 
 def _slab_reducer(profile: CovarianceProfile, seed: int, step: int):
@@ -309,6 +309,8 @@ def det_log_samples(ensemble: str, n: int, W: float | None, lambdas,
         def reducer():
             return lambda run: tridiagonal_block(profile, seed, run.start, len(run))
     else:
+        # a run is bounded by its tridiagonal forms, so one char_det_many call
+        # (about 1 ms at n = 64) covers several slabs
         step = _run_length(n, samples, threads, len(lambdas))
         sampler._upper_entries(profile)  # built here, not by every worker missing the cache at once
 
@@ -354,7 +356,8 @@ def spectrum_counts(profile: CovarianceProfile, edges: np.ndarray, samples: int,
     """
     if threads is None:
         threads = _usable_cpus()
-    step = _run_length(profile.size, samples, threads, len(edges))
+    # a run is one slab, so a worker stops within one sample from n = 257
+    step = _run_length(profile.size ** 2, samples, threads, len(edges))
     pooled = np.zeros((min(threads, -(-samples // step)), len(edges)), dtype=np.int64)
     sampler._upper_entries(profile)  # built here, not by every worker missing the cache at once
 

@@ -99,13 +99,15 @@ def test_transfer_sine_kernel_deviation(n, expected):
     assert n * (ratio - sine_kernel(1.0)) == pytest.approx(expected, abs=5e-5)
 
 
-def test_transfer_cap_settles():
-    # the cap stops growing once the value moves by at most tol, or once 2K > n,
+def test_transfer_cap_settles(monkeypatch):
+    # the cap stops growing once the value moves by at most _TOL, or once 2K > n,
     # where the cut cannot reach a[0, 0, 0]
     prof = covariance_profile(Lattice1D(64), 64.0)
-    t = exact.transfer_f2(prof, 0.05, -0.05, tol=1e-2)
+    monkeypatch.setattr(exact, "_TOL", 1e-2)
+    t = exact.transfer_f2(prof, 0.05, -0.05)
     assert t.cap == 32 and 0 < t.change <= 1e-2
-    assert exact.transfer_f2(prof, 0.05, -0.05, tol=0.0).cap == 40
+    monkeypatch.setattr(exact, "_TOL", 0.0)
+    assert exact.transfer_f2(prof, 0.05, -0.05).cap == 40
 
 
 def test_transfer_rejects_a_profile_that_is_no_chain():

@@ -525,6 +525,16 @@ def test_spectrum_worker_holds_one_buffer():
     assert peak <= 24 * n * n
 
 
+@pytest.mark.parametrize("n, run", [(64, 16), (257, 1), (1000, 1)])
+def test_spectrum_run_is_one_slab(n, run, monkeypatch):
+    # a spectrum's run holds at most 2^16 matrix entries, so from n = 257 a worker
+    # stops within one sample on an error or Ctrl-C
+    steps = []
+    monkeypatch.setattr(mo, "_sample_runs", lambda samples, step, *rest: steps.append(step))
+    mo.spectrum_counts(covariance_profile(Lattice1D(n), n / 10), np.zeros(3), 1000, 0, threads=2)
+    assert steps == [run]
+
+
 def test_jackknife_below_fifty_samples_is_delete_one():
     # with fewer kept samples than jackknife blocks every block is one sample
     pair = (0.5, -0.5)

@@ -237,3 +237,68 @@ class TestWriteSample:
         whole = upper(write_one(prof, stream, n * n))
         for width in (sm._DRAW_PIECE, 1000):
             assert upper(write_one(prof, stream, width)) == whole
+
+
+def documented_sample(prof, seed, index):
+    """Sample `index` of `prof` built from the module docstring's layout alone."""
+    n = prof.size
+    z = sm.RngStream(seed, index).generator().standard_normal(n * n)
+    i, j = np.triu_indices(n, 1)  # the strict upper triangle row by row
+    strict, sd = len(i), np.sqrt(prof.J[i, j] / 2.0)
+    H = np.zeros((n, n), dtype=complex)
+    H.real[i, j] = z[:strict] * sd
+    H.real[range(n), range(n)] = z[strict:strict + n] * np.sqrt(np.diag(prof.J))
+    H.imag[i, j] = z[strict + n:] * sd
+    return H
+
+
+class TestWorkerLaw:
+    # the samples a scan's worker reduces at n = 64 (16-row slabs, each row reduced
+    # in place before the next write) follow the law the sampler states
+    n = 64
+
+    def test_reduced_forms_equal_the_documented_samples(self):
+        from bandmoment import moments as mo
+        from bandmoment.charpoly import tridiagonalize
+
+        prof = covariance_profile(Lattice1D(self.n), float(self.n))
+        reduce = mo._slab_reducer(prof, 29, 40)  # runs of 40: three slab parts each
+        for run in (range(0, 40), range(4090, 4130)):
+            d, e = reduce(run)
+            for k, b in enumerate(run):
+                H = documented_sample(prof, 29, b)
+                d_ref, e_ref = tridiagonalize(H)
+                assert d[k].tobytes() == d_ref.tobytes() and e[k].tobytes() == e_ref.tobytes()
+
+    def test_entry_moments(self):
+        # per distance |i - j|: E Re^2 = E Im^2 = J/2 and E Re Im = 0 above the
+        # diagonal (so E|H_ij|^2 = J_ij and E H_ij^2 = 0), E Re^2 = J on it, and
+        # neighbouring entries uncorrelated; each within 5 standard errors
+        n, count = self.n, 2048
+        prof = covariance_profile(Lattice1D(n), float(n))
+        rr, ii, ri, nb = (np.zeros((n, n)) for _ in range(4))
+        for a in upper_samples(prof, 5, 0, count, sm._DRAW_PIECE // (n * n)):
+            re, im = a.real, a.imag
+            rr += re * re
+            ii += im * im
+            ri += re * im
+            nb[:, :-1] += re[:, :-1] * re[:, 1:]
+        half = prof.J / 2.0
+        for k in range(n):
+            i = np.arange(n - k)
+            m = count * (n - k)
+            if k == 0:
+                stats = [(rr[i, i] / np.diag(prof.J)).sum() / m - 1.0]
+                ses = [np.sqrt(2.0 / m)]
+            else:
+                s = half[i, i + k]
+                stats = [(rr[i, i + k] / s).sum() / m - 1.0, (ii[i, i + k] / s).sum() / m - 1.0,
+                         (ri[i, i + k] / s).sum() / m]
+                ses = [np.sqrt(2.0 / m)] * 2 + [np.sqrt(1.0 / m)]
+            if k < n - 1:  # entries (i, i + k) and (i, i + k + 1), both drawn
+                i = np.arange(n - k - 1)
+                sd = np.sqrt(prof.J[i, i + k] / (1.0 if k == 0 else 2.0) * half[i, i + k + 1])
+                stats.append((nb[i, i + k] / sd).sum() / (count * len(i)))
+                ses.append(np.sqrt(1.0 / (count * len(i))))
+            for stat, se in zip(stats, ses):
+                assert abs(stat) <= 5 * se, (k, stat, se)
