@@ -23,8 +23,10 @@ same line.  The scan, `oracle_n3_mc_f2*` and `spectrum_n1000*` lines and
 `verify_oracle` depend on the sample layout (the order in which a sample
 takes its normals, and how samples are keyed); a change to the layout moves
 them and must leave `verify_lattice`, `verify_saddle`, `verify_unitary`,
-`verify_dual` and `verify_exact` as they are.  It takes about 26 s on a
-2-vCPU x86_64 VM.
+`verify_dual` and `verify_exact` as they are.  `verify_dual` prints the
+errors of the engine that evaluates the dual representation
+(`exact.transfer_f2`), so it moves with that engine, and only with it.  It
+takes about 26 s on a 2-vCPU x86_64 VM.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Numerical laboratory for second mixed moments of characteristic polynomials
 of 1D Gaussian band matrices: ensemble sampling, overflow-safe determinant
-evaluation, moment estimation with sine-kernel comparison, the dual Hermitian-
-field representation, and the supporting closed-form toolkits."""
+evaluation, moment estimation with sine-kernel comparison, and the supporting
+closed-form toolkits.  The exact references, the dual Hermitian-field
+representation among them, are in `bandmoment.exact` (not imported here)."""
 
 from .charpoly import tridiagonalize
-from .dualrep import dual_f2
 from .lattice import (
     CovarianceProfile,
     Lattice1D,
@@ -55,7 +55,6 @@ __all__ = [
     "charpoly_pinned",
     "charpoly_pinned_closed",
     "covariance_profile",
-    "dual_f2",
     "green_diag",
     "gue_profile",
     "haar_u2_batch",

@@ -19,22 +19,32 @@ cancel as y approaches x.  It is carried in signed-log form, as
 at any n: F2(0, 0) is about 1e-41 at n = 100 and underflows from n of about
 720.
 
-For a band profile, J^-1 = W^2 K + 1 is tridiagonal, and `transfer_f2` runs
-a transfer recursion over the paper's dual representation (`dualrep`):
+For a band profile `transfer_f2` evaluates the paper's dual representation
+of F2(l1, l2) as an integral over one 2x2 Hermitian field X_j per site:
+
+    F2 = (-1)^n (2 pi^2)^-n det(J)^-2
+         * Int exp{ -(W^2/2) sum_j Tr (X_j - X_{j-1})^2 - (1/2) sum_j Tr (X_j + i M)^2 }
+         * prod_j det(X_j - i A) dX_j,
+
+diag(l1, l2) = M + A (the paper takes A = lambda0/2), dX = dX11 dX22 dReX12
+dImX12.  The integrand is entire with Gaussian decay: shifting each (X_j)_kk
+by -i m_k keeps the value, cancels the phase, recombines M and A into l1 and
+l2 and leaves a Gaussian, normalized by the prefactor, of covariance J =
+(W^2 K + 1)^-1 in each diagonal channel and J/2 in Re and Im of X_12:
 
     F2(l1, l2) = (-1)^n E[prod_j ((g_j - i l1)(h_j - i l2) - |c_j|^2)],
 
-g and h real and c complex Gaussian fields of covariance J.  Each field is a
-Gauss-Markov chain, and so is |c_j|^2 alone.  A function of site j's state is
-held as a coefficient tensor a[p, q, r] over the normalized Hermite
-polynomials He_p(x)/sqrt(p!) of x = g_j/sigma_j and of y = h_j/sigma_j and
-the Laguerre polynomials L_r of t = |c_j|^2/sigma_j^2, which is Exp(1)
-(sigma_j^2 = J_jj).  In this basis multiplying by x or t is a three-term
-stencil, and the conditional expectation from site j + 1 to site j
-multiplies entry (p, q, r) by rho_j^(p + q + 2r), rho_j = J_{j,j+1}/(sigma_j
-sigma_{j+1}) (Mehler's and the Hille-Hardy formula; the transfer-operator
-view of M. and T. Shcherbina, Commun. Math. Phys. 351 (2017)).  GUE's flat
-profile is the chain with rho = 1.
+g and h real and c complex Gaussian fields of covariance J.  J^-1 is
+tridiagonal, so each field is a Gauss-Markov chain, and so is |c_j|^2 alone.
+A function of site j's state is held as a coefficient tensor a[p, q, r] over
+the normalized Hermite polynomials He_p(x)/sqrt(p!) of x = g_j/sigma_j and of
+y = h_j/sigma_j and the Laguerre polynomials L_r of t = |c_j|^2/sigma_j^2,
+which is Exp(1) (sigma_j^2 = J_jj).  In this basis multiplying by x or t is
+a three-term stencil, and the conditional expectation from site j + 1 to
+site j multiplies entry (p, q, r) by rho_j^(p + q + 2r), rho_j =
+J_{j,j+1}/(sigma_j sigma_{j+1}) (Mehler's and the Hille-Hardy formula; the
+transfer-operator view of M. and T. Shcherbina, Commun. Math. Phys. 351
+(2017)).  GUE's flat profile is the chain with rho = 1.
 
 This module is not imported by the package, so `import bandmoment` stays as
 light as it is.
@@ -180,8 +190,10 @@ class TransferF2:
 
     `cap` is the cube cap K (degrees below K kept per axis), `change` the
     relative change of the value over the cap's last growth (0 if one cap
-    ran), and `imag_ratio` |Im|/|Re| of the computed value, whose imaginary
-    part is zero in exact arithmetic: a built-in stability alarm.
+    ran), and `imag_ratio` |Im|/|Re| of the computed value: 0 by construction,
+    so it cannot flag rounding.  Entries with p + q even stay real and those
+    with p + q odd imaginary through every stencil, chain step and rescale,
+    so a[0, 0, 0] is exactly real.
     """
 
     sign: int
@@ -258,11 +270,12 @@ def transfer_f2(profile: CovarianceProfile, l1: float, l2: float) -> TransferF2:
     takes about 0.5 s (2-vCPU x86_64 VM).
 
     Rounding, not the cap, limits the value away from the band centre, and
-    the imaginary part does not show it.  Against the same recursion in
-    50-digit arithmetic: at x, y = 0.5, -0.4 and nearer 0 the relative error
-    is at most 3e-13 at band n = W <= 24; at 1.5, -1.2 it is 1.4e-12 at
-    n = 16 and 2.1e-10 at n = 24, and on GUE's flat profile 1.1e-10 at
-    n = 20.  Raises ValueError if J is not a Gauss-Markov chain's covariance.
+    the imaginary part cannot show it: it is exactly 0 (`TransferF2`).
+    Against the same recursion in 50-digit arithmetic: at x, y = 0.5, -0.4
+    and nearer 0 the relative error is at most 3e-13 at band n = W <= 24;
+    at 1.5, -1.2 it is 1.4e-12 at n = 16 and 2.1e-10 at n = 24, and on GUE's
+    flat profile 1.1e-10 at n = 20.  Raises ValueError if J is not a
+    Gauss-Markov chain's covariance.
     """
     sigma, rho = _chain(profile)
     cap, change, last = _CAP_STEP, 0.0, None

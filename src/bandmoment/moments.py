@@ -245,17 +245,13 @@ def tridiagonal_block(profile: CovarianceProfile, seed: int, start: int,
     """Tridiagonal forms of the `count` samples of `profile` keyed by RngStream(seed, start).
 
     Returns d (count, n) and e (count, n - 1) >= 0, with n = profile.size.
-    This is the reduction stage of a scan's blocks up to n = _SMALL_N_BATCH:
-    the block is sampled as one stack (`sampler.sample_batch`) and reduced by
-    the vectorized Householder, whose numpy overhead only pays across a
-    stack; a lone sample is reduced by LAPACK.  Above _SMALL_N_BATCH samples
-    are keyed one by one (`_slab_reducer`).
+    This is the reduction stage of a scan's blocks up to n = _SMALL_N_BATCH,
+    sampled as one stack (`sampler.sample_batch`) and reduced by the
+    vectorized Householder, whose numpy overhead only pays across a stack.
+    Above _SMALL_N_BATCH samples are keyed one by one (`_slab_reducer`).
     """
     H = sampler.sample_batch(profile, sampler.RngStream(seed, start), count)
-    if count > 1:
-        return charpoly.tridiagonalize_batch(H)
-    d, e = charpoly.tridiagonalize(H[0], overwrite_a=True)
-    return d[None], e[None]
+    return charpoly.tridiagonalize_batch(H)
 
 
 def _usable_cpus() -> int:

@@ -1,11 +1,10 @@
-"""Dual Hermitian-field representation of the moment: the exact shifted-field rule."""
+"""Dual Hermitian-field representation of the moment, evaluated by the transfer recursion."""
 
 import math
 
 import pytest
 
-from bandmoment import dualrep as dr
-from bandmoment import moments as mo
+from bandmoment import exact
 from bandmoment.lattice import Lattice1D, covariance_profile
 from bandmoment.saddle import scaled_lambdas
 
@@ -15,17 +14,21 @@ def profile1():
     return covariance_profile(Lattice1D(1), 1.0)
 
 
+def value(t):
+    return t.sign * math.exp(t.log_abs)
+
+
 class TestSingleSite:
     def test_trivial_point(self, profile1):
-        val = dr.dual_f2(0.0, 0.0, profile1)
-        assert val.real == pytest.approx(1.0, rel=1e-14)
-        assert val.imag == 0.0
+        t = exact.transfer_f2(profile1, 0.0, 0.0)
+        assert value(t) == pytest.approx(1.0, rel=1e-14)
+        assert t.imag_ratio == 0.0
 
     def test_symmetric_pair(self, profile1):
         # lambda_j = xi_j * pi at one site, center of the bulk:
         # F2 = (pi/2)(-pi/2) + 1 = 1 - pi^2/4
-        val = dr.dual_f2(math.pi / 2, -math.pi / 2, profile1)
-        assert val.real == pytest.approx(1.0 - math.pi**2 / 4.0, rel=1e-14)
+        t = exact.transfer_f2(profile1, math.pi / 2, -math.pi / 2)
+        assert value(t) == pytest.approx(1.0 - math.pi**2 / 4.0, rel=1e-14)
 
     @pytest.mark.parametrize("lambda0", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("xis", [(0.0, 0.0), (0.5, -0.5), (0.3, -0.2), (0.7, 0.1)])
@@ -33,24 +36,25 @@ class TestSingleSite:
         # the strongest statement in the package: the dual field integral
         # reproduces the direct-ensemble moment pointwise
         p = scaled_lambdas(lambda0, xis[0], xis[1], 1)
-        val = dr.dual_f2(p.lambda1, p.lambda2, profile1)
-        exact = mo.wick_exact_f2(1, p.lambda1, p.lambda2, profile1)
-        assert abs(val.real - exact) <= 1e-12 * abs(exact)
-        assert abs(val.imag) <= 1e-12 * abs(val.real)
+        t = exact.transfer_f2(profile1, p.lambda1, p.lambda2)
+        ref = exact.wick_exact_f2(p.lambda1, p.lambda2, profile1)
+        assert abs(value(t) - ref) <= 1e-12 * abs(ref)
+        assert t.imag_ratio <= 1e-12
 
 
 class TestTwoSite:
     def test_matches_oracle(self):
         p = scaled_lambdas(0.0, 0.2, -0.1, 2)
         prof = covariance_profile(Lattice1D(2), 1.0)
-        val = dr.dual_f2(p.lambda1, p.lambda2, prof)
-        exact = mo.wick_exact_f2(2, p.lambda1, p.lambda2, prof)
-        assert abs(val.real - exact) <= 1e-12 * abs(exact)
+        t = exact.transfer_f2(prof, p.lambda1, p.lambda2)
+        ref = exact.wick_exact_f2(p.lambda1, p.lambda2, prof)
+        assert abs(value(t) - ref) <= 1e-12 * abs(ref)
 
     def test_imaginary_part_consistent_with_zero(self):
+        # exactly 0: the recursion's a[0, 0, 0] is real by construction
         p = scaled_lambdas(0.0, 0.15, -0.05, 2)
-        val = dr.dual_f2(p.lambda1, p.lambda2, covariance_profile(Lattice1D(2), 1.0))
-        assert abs(val.imag) <= 1e-12 * abs(val.real)
+        t = exact.transfer_f2(covariance_profile(Lattice1D(2), 1.0), p.lambda1, p.lambda2)
+        assert t.imag_ratio == 0.0
 
     @pytest.mark.parametrize("W", [0.7, 1.0, 2.0, 13.0])
     def test_bandwidth_sweep(self, W):
@@ -58,12 +62,7 @@ class TestTwoSite:
         # bulk scaling, of either sign, and one outside the bulk
         prof = covariance_profile(Lattice1D(2), W)
         for l1, l2 in ((0.3, -0.2), (1.7, 0.4), (-1.1, -1.9), (0.0, 2.5)):
-            val = dr.dual_f2(l1, l2, prof)
-            exact = mo.wick_exact_f2(2, l1, l2, prof)
-            assert abs(val.real - exact) <= 1e-12 * abs(exact)
-            assert abs(val.imag) <= 1e-12 * abs(val.real)
-
-
-def test_three_sites_raise():
-    with pytest.raises(ValueError, match="at most 2 sites"):
-        dr.dual_f2(0.3, -0.2, covariance_profile(Lattice1D(3), 1.0))
+            t = exact.transfer_f2(prof, l1, l2)
+            ref = exact.wick_exact_f2(l1, l2, prof)
+            assert abs(value(t) - ref) <= 1e-12 * abs(ref)
+            assert t.imag_ratio <= 1e-12

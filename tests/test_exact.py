@@ -1,5 +1,5 @@
 """Exact F2 at any order: GUE's Christoffel-Darboux sum against two independent forms, and
-the band transfer recursion against the pairing oracle, the dual rule and the CD sum."""
+the band transfer recursion against the pairing oracle and the CD sum."""
 
 import math
 from fractions import Fraction
@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from bandmoment import exact
-from bandmoment.dualrep import dual_f2
 from bandmoment.lattice import CovarianceProfile, Lattice1D, covariance_profile
 from bandmoment.saddle import scaled_lambdas, sine_kernel
 from bandmoment.sampler import gue_profile
@@ -78,10 +77,7 @@ def transfer(profile, x, y):
 def test_transfer_matches_wick_oracle_and_dual_rule(n, W):
     prof = covariance_profile(Lattice1D(n), W)
     for x, y in ((0.3, -0.2), (1.1, 0.7), (0.0, 0.0), (-2.5, 0.9)):
-        value = transfer(prof, x, y)
-        assert value == pytest.approx(exact.wick_exact_f2(x, y, prof), rel=1e-13)
-        if n <= 2:
-            assert value == pytest.approx(dual_f2(x, y, prof).real, rel=1e-13)
+        assert transfer(prof, x, y) == pytest.approx(exact.wick_exact_f2(x, y, prof), rel=1e-13)
 
 
 @pytest.mark.parametrize("n", [2, 5, 10, 20])

@@ -11,8 +11,7 @@ import pytest
 
 from bandmoment import moments as mo
 from bandmoment.lattice import Lattice1D, covariance_profile
-from bandmoment.charpoly import tridiagonalize_batch
-from bandmoment.sampler import RngStream, gue_profile, sample_batch
+from bandmoment.sampler import gue_profile
 from bandmoment.saddle import sine_kernel
 
 
@@ -281,6 +280,7 @@ class TestSmallNBlocks:
     @pytest.mark.parametrize("samples, chunk", [
         (100, None),       # one block: fewer blocks than workers
         (83, 40),          # blocks of 40, 40 and 3 samples
+        (81, 40),          # blocks of 40, 40 and 1: a lone sample through the batch path
     ])
     def test_bits_independent_of_threads(self, n, samples, chunk, monkeypatch):
         if chunk is not None:
@@ -588,18 +588,3 @@ class TestRatioVsSine:
                 assert r.params == single.params
                 assert (r.ratio.hex(), r.stderr.hex(), r.samples, r.rejected) == (
                     single.ratio.hex(), single.stderr.hex(), single.samples, single.rejected)
-
-
-@pytest.mark.parametrize("kind", ["band", "gue"])
-@pytest.mark.parametrize("n", [3, 8])
-def test_one_sample_block_reduced_by_zhetrd(kind, n, monkeypatch):
-    # a lone small sample skips the batched Householder, whose numpy overhead
-    # only pays across a stack, and keeps the spectrum of the batched route
-    profile = covariance_profile(Lattice1D(n), 2.0) if kind == "band" else gue_profile(n)
-    monkeypatch.setattr(mo.charpoly, "tridiagonalize_batch", None)
-    d, e = mo.tridiagonal_block(profile, 5, 7, 1)
-    monkeypatch.undo()
-    H = sample_batch(profile, RngStream(5, 7), 1)
-    eigs = [np.linalg.eigvalsh(np.diag(a[0]) + np.diag(b[0], 1) + np.diag(b[0], -1))
-            for a, b in ((d, e), tridiagonalize_batch(H))]
-    assert np.abs(eigs[0] - eigs[1]).max() <= 1e-12 * np.linalg.norm(H[0], 2)
