@@ -151,91 +151,69 @@ def tridiagonalize(H: np.ndarray, overwrite_a: bool = False) -> tuple[np.ndarray
 
 
 def tridiagonalize_batch(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Householder reduction of a stack of Hermitian matrices.
+    """Vectorized Householder reduction of a (B, N, N) stack of Hermitian matrices.
 
-    Parameters
-    ----------
-    H : (B, N, N) complex array.
-
-    Returns
-    -------
-    d : (B, N) diagonals, e : (B, N-1) nonnegative off-diagonals.
-
-    Intended for small N where per-sample LAPACK call overhead dominates; the
-    arithmetic is O(B N^3) like the LAPACK path.
+    Returns d (B, N) and e (B, N-1) >= 0, the transposes of (N, B) and
+    (N-1, B) arrays.  Intended for small N where per-sample LAPACK call
+    overhead dominates; the arithmetic is O(B N^3) like the LAPACK path.  The
+    stack is copied once into an (N, N, B) array, so every step works on rows
+    of B contiguous samples.  Step k reflects the subcolumn x below the
+    diagonal onto -phase |x| e_1 by I - beta v v^H and updates the trailing
+    block S to S - v w^H - w v^H, with p = beta S v and w = p - (beta/2)
+    (v^H p) v (Golub & Van Loan, "Matrix Computations", section 8.3); a zero
+    subcolumn gets beta = 0.  Then e_k = |x|: d and |e| do not change under
+    the diagonal phase similarity that would make the off-diagonal real.
     """
-    H = np.array(H, dtype=complex, copy=True)
+    H = np.asarray(H)
     B, n, _ = H.shape
-    d = np.empty((B, n))
-    e = np.zeros((B, max(n - 1, 0)))
-    work = H
+    S = np.empty((n, n, B), dtype=complex)
+    S[...] = np.moveaxis(H, 0, -1)
+    d, e = np.empty((n, B)), np.empty((max(n - 1, 0), B))
     for k in range(n - 1):
-        d[:, k] = work[:, 0, 0].real
-        x = work[:, 1:, 0]
-        nrm = np.linalg.norm(x, axis=1)
-        e[:, k] = nrm
-        blk = work[:, 1:, 1:]
-        m = n - 1 - k
-        if m == 1:
-            work = blk
-            continue
-        safe = nrm > 0
-        u = np.where(safe[:, None], x / np.where(safe, nrm, 1.0)[:, None],
-                     np.eye(m, dtype=complex)[0])
-        u0 = u[:, 0]
-        a0 = np.abs(u0)
-        w = np.where(a0 > 0, u0 / np.where(a0 > 0, a0, 1.0), 1.0)
-        v = u.copy()
-        v[:, 0] += w
-        beta = 2.0 / np.einsum("bi,bi->b", v.conj(), v).real
-        vb = np.einsum("bi,bij->bj", v.conj(), blk)
-        bv = np.einsum("bij,bj->bi", blk, v)
-        vbv = np.einsum("bi,bi->b", v.conj(), bv)
-        C = (
-            blk
-            - beta[:, None, None] * (v[:, :, None] * vb[:, None, :])
-            - beta[:, None, None] * (bv[:, :, None] * v[:, None, :].conj())
-            + (beta * beta * vbv)[:, None, None] * (v[:, :, None] * v[:, None, :].conj())
-        )
-        # phase rotation making the new off-diagonal entry equal to +nrm
-        C[:, 0, 1:] *= -w.conj()[:, None]
-        C[:, 1:, 0] *= -w[:, None]
-        if not safe.all():
-            C[~safe] = blk[~safe]
-        work = C
-    d[:, n - 1] = work[:, 0, 0].real
-    return d, e
+        d[k] = S[k, k].real
+        x = S[k + 1:, k]
+        e[k] = nrm = np.linalg.norm(x, axis=0)
+        if k == n - 2:  # a 1 x 1 trailing block is already real
+            break
+        a0 = np.abs(x[0])
+        v = x.copy()  # v_0 = x_0 + phase |x|, the phase x_0 / |x_0| or 1 at x_0 = 0
+        v[0] = np.divide(x[0], a0, out=np.ones(B, dtype=complex), where=a0 > 0) * (a0 + nrm)
+        denom = nrm * (nrm + a0)  # v^H v / 2
+        beta = np.divide(1.0, denom, out=np.zeros(B), where=denom > 0)
+        T = S[k + 1:, k + 1:]
+        p = T[:, 0] * v[0]
+        for j in range(1, n - 1 - k):
+            p += T[:, j] * v[j]
+        p *= beta
+        w = p - (0.5 * beta * np.add.reduce(v.conj() * p, axis=0)) * v
+        vc, wc = v.conj(), w.conj()
+        for i in range(n - 1 - k):
+            T[i] -= v[i] * wc + w[i] * vc
+    d[n - 1] = S[n - 1, n - 1].real
+    return d.T, e.T
 
 
 def char_det_many(d: np.ndarray, e2: np.ndarray, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """det(lambda - T) for a stack of tridiagonal matrices at several lambdas.
 
-    Parameters
-    ----------
-    d : (B, N) diagonals, e2 : (B, N-1) squared off-diagonals, lams : (L,).
-
-    Returns
-    -------
-    sign : (B, L) in {-1, 0, +1}, log_mag : (B, L) with -inf where the
-    determinant is exactly zero.
-
-    The recurrence p_k = (lambda - d_k) p_{k-1} - e_{k-1}^2 p_{k-2} is rescaled
-    whenever |p_k| leaves [1e-150, 1e150], keeping doubles finite for any N.
+    Takes diagonals d (B, N), squared off-diagonals e2 (B, N-1) and lams (L,);
+    returns sign (B, L) in {-1, 0, +1} and log_mag (B, L), -inf where the
+    determinant is exactly zero, as transposes of (L, B) arrays.  The
+    recurrence p_k = (lambda - d_k) p_{k-1} - e_{k-1}^2 p_{k-2} runs on (L, B)
+    arrays, a row of d.T per step, and is rescaled whenever |p_k| leaves
+    [1e-150, 1e150], keeping doubles finite for any N.  Every operation is
+    elementwise, so the bits do not depend on the layout of d and e2.
     """
-    d = np.atleast_2d(np.asarray(d, dtype=float))
-    e2 = np.atleast_2d(np.asarray(e2, dtype=float))
-    lams = np.atleast_1d(np.asarray(lams, dtype=float))
-    B, n = d.shape
-    L = len(lams)
-    lam = lams[None, :]
-    p_prev = np.zeros((B, L))
-    p = np.ones((B, L))
-    scale = np.zeros((B, L))
-    for k in range(n):
+    d = np.atleast_2d(np.asarray(d, dtype=float)).T
+    e2 = np.atleast_2d(np.asarray(e2, dtype=float)).T
+    lam = np.atleast_1d(np.asarray(lams, dtype=float))[:, None]
+    shape = (len(lam), d.shape[1])
+    p_prev, p, scale = np.zeros(shape), np.ones(shape), np.zeros(shape)
+    for k in range(len(d)):
         if k == 0:
-            p_prev, p = p, (lam - d[:, 0, None]) * p
+            p_prev, p = p, (lam - d[0]) * p
         else:
-            p_prev, p = p, (lam - d[:, k, None]) * p - e2[:, k - 1, None] * p_prev
+            p_prev, p = p, (lam - d[k]) * p - e2[k - 1] * p_prev
         ap = np.abs(p)
         bad = (ap > _RESCALE_HI) | ((ap > 0) & (ap < _RESCALE_LO))
         if bad.any():
@@ -246,7 +224,7 @@ def char_det_many(d: np.ndarray, e2: np.ndarray, lams: np.ndarray) -> tuple[np.n
     sign = np.sign(p)  # float so that NaN inputs propagate to the caller
     with np.errstate(divide="ignore", invalid="ignore"):
         log_mag = np.where(sign != 0, np.log(np.abs(np.where(sign != 0, p, 1.0))) + scale, -np.inf)
-    return sign, log_mag
+    return sign.T, log_mag.T
 
 
 def count_below_many(d: np.ndarray, e2: np.ndarray, lams: np.ndarray) -> np.ndarray:

@@ -188,19 +188,16 @@ def gue_ratio(n: int, x: float, y: float) -> float:
 class TransferF2:
     """F2(l1, l2) from `transfer_f2`: sign * exp(log_abs), with its convergence record.
 
-    `cap` is the cube cap K (degrees below K kept per axis), `change` the
+    `cap` is the cube cap K (degrees below K kept per axis) and `change` the
     relative change of the value over the cap's last growth (0 if one cap
-    ran), and `imag_ratio` |Im|/|Re| of the computed value: 0 by construction,
-    so it cannot flag rounding.  Entries with p + q even stay real and those
-    with p + q odd imaginary through every stencil, chain step and rescale,
-    so a[0, 0, 0] is exactly real.
+    ran).  The value is exactly real, so its imaginary part cannot flag
+    rounding: entries with p + q even stay real and odd ones imaginary.
     """
 
     sign: int
     log_abs: float
     cap: int
     change: float
-    imag_ratio: float
 
 
 def _chain(profile: CovarianceProfile) -> tuple[np.ndarray, np.ndarray]:
@@ -289,8 +286,7 @@ def transfer_f2(profile: CovarianceProfile, l1: float, l2: float) -> TransferF2:
         cap += _CAP_STEP
     sign = (value.real > 0) - (value.real < 0)
     log_abs = math.log(abs(value.real)) + log_scale if sign else -math.inf
-    imag_ratio = abs(value.imag) / abs(value.real) if sign else math.inf
-    return TransferF2(sign, log_abs, cap, change, imag_ratio)
+    return TransferF2(sign, log_abs, cap, change)
 
 
 def transfer_ratio(profile: CovarianceProfile, x: float, y: float) -> float:

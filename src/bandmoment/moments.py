@@ -7,7 +7,8 @@ For an ensemble sample H the quantity of interest is
 normalized by the geometric mean D2 = sqrt(F2(l1,l1)) sqrt(F2(l2,l2)) and
 compared against the sine-kernel curve in the bulk scaling limit.  Per-sample
 determinants are kept in signed-log form: an int8 sign and a float64 log
-magnitude per sample and lambda, 9 bytes.  A pair (l_a, l_b) is reduced in
+magnitude per sample and lambda, 9 bytes, in lambda-major tables (one row
+of samples per lambda, `DetLogSamples`).  A pair (l_a, l_b) is reduced in
 its own float64 vector of weights det_a det_b / exp(M), shifted by the pair's
 maximum log magnitude M (`_weights`), so sums of weights stay in double range
 however large the determinants are.  `mc_f2` estimates single moments as the
@@ -107,8 +108,9 @@ class DetLogSamples:
     """Per-sample signed-log determinants at each requested lambda.
 
     signs (int8, in {-1, 0, +1}) and logmags (float64, -inf where the
-    determinant is exactly zero) have shape (samples, len(lambdas)); rejected
-    rows (a NaN or +inf log) are removed but counted.
+    determinant is exactly zero) have shape (samples, len(lambdas)) and are
+    transposes of lambda-major arrays, so a lambda's column is contiguous.
+    Rejected samples (a NaN or +inf log) are removed but counted.
     """
 
     lambdas: np.ndarray
@@ -247,8 +249,8 @@ def tridiagonal_block(profile: CovarianceProfile, seed: int, start: int,
     Returns d (count, n) and e (count, n - 1) >= 0, with n = profile.size.
     This is the reduction stage of a scan's blocks up to n = _SMALL_N_BATCH,
     sampled as one stack (`sampler.sample_batch`) and reduced by the
-    vectorized Householder, whose numpy overhead only pays across a stack.
-    Above _SMALL_N_BATCH samples are keyed one by one (`_slab_reducer`).
+    vectorized Householder, whose numpy overhead only pays across a stack;
+    it and the recurrence put the sample index last, on contiguous rows.
     """
     H = sampler.sample_batch(profile, sampler.RngStream(seed, start), count)
     return charpoly.tridiagonalize_batch(H)
@@ -268,13 +270,11 @@ def det_log_samples(ensemble: str, n: int, W: float | None, lambdas,
     """Evaluate det(lambda - H) in signed-log form for `samples` fresh samples.
 
     Each sample is tridiagonalized once and evaluated at every lambda, and
-    each run of samples fills its own rows, so the result is bit-identical
-    for any thread count.  `threads` workers (default: the usable CPUs) run
-    the runs (`_sample_runs`).  Up to n = _SMALL_N_BATCH a run is a fixed
-    4096-sample block keyed by its start index, sampled and reduced as one
-    stack (`tridiagonal_block`).  Above it sample b is keyed by
-    RngStream(seed, b), as in `spectrum_counts`, and each worker holds one
-    slab of about 2^16 matrix entries (`_slab_reducer`), not a block.  An
+    each run of samples fills its own columns of the lambda-major tables, so
+    the result is bit-identical for any thread count.  `threads` workers
+    (default: the usable CPUs) run the runs (`_sample_runs`): up to
+    n = _SMALL_N_BATCH one 4096-sample block each (`tridiagonal_block`),
+    above it from a slab of the worker's own (`_slab_reducer`).  An
     error or Ctrl-C on any worker stops the others after their current run
     and is re-raised here.  `progress(done, total)` is invoked after each
     completed run, under the claim lock, from whichever worker finished it,
@@ -297,8 +297,9 @@ def det_log_samples(ensemble: str, n: int, W: float | None, lambdas,
 
     if threads is None:
         threads = _usable_cpus()
-    signs = np.empty((samples, len(lambdas)), dtype=np.int8)
-    logs = np.empty((samples, len(lambdas)))
+    # lambda-major: a run writes, and a pair's weights read, contiguous rows
+    signs = np.empty((len(lambdas), samples), dtype=np.int8)
+    logs = np.empty((len(lambdas), samples))
     if n <= _SMALL_N_BATCH:
         step = _CHUNK
 
@@ -315,23 +316,22 @@ def det_log_samples(ensemble: str, n: int, W: float | None, lambdas,
 
     def consume(i, run, d, e):
         s, lg = charpoly.char_det_many(d, e ** 2, lambdas)
-        # a NaN sign has a NaN log, so the row it lands on is rejected
+        # a NaN sign has a NaN log, so the sample it belongs to is rejected
         with np.errstate(invalid="ignore"):
-            np.copyto(signs[run.start:run.stop], s, casting="unsafe")
-        logs[run.start:run.stop] = lg
+            np.copyto(signs[:, run.start:run.stop], s.T, casting="unsafe")
+        logs[:, run.start:run.stop] = lg.T
 
     _sample_runs(samples, step, threads, progress, reducer, consume)
 
-    # a row is usable if every entry is either finite or an exact-zero marker (-inf);
-    # a NaN or +inf log makes the row max fail the comparison
-    ok = logs.max(axis=1) < np.inf
+    # a sample is usable if every entry is either finite or an exact-zero marker (-inf);
+    # a NaN or +inf log makes its max fail the comparison
+    ok = logs.max(axis=0) < np.inf
     rejected = int(samples - ok.sum())
     if rejected:
-        signs = signs[ok]
-        logs = logs[ok]
-    if signs.shape[0] < 2:
+        signs, logs = signs[:, ok], logs[:, ok]
+    if signs.shape[1] < 2:
         raise EstimatorError("all samples rejected")
-    return DetLogSamples(lambdas, signs, logs, rejected)
+    return DetLogSamples(lambdas, signs.T, logs.T, rejected)
 
 
 def spectrum_counts(profile: CovarianceProfile, edges: np.ndarray, samples: int, seed: int,

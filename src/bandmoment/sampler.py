@@ -56,6 +56,7 @@ class RngStream:
 
 # keyed weakly by the (identity-hashed) profile: an entry goes with its profile
 _entries_cache = weakref.WeakKeyDictionary()
+_stack_cache = weakref.WeakKeyDictionary()
 
 
 def _upper_entries(profile: CovarianceProfile) -> tuple[np.ndarray, np.ndarray]:
@@ -117,20 +118,47 @@ def gue_profile(n: int) -> CovarianceProfile:
     return CovarianceProfile(np.ones((n, n)) / n)
 
 
+def _stack_map(profile: CovarianceProfile) -> tuple[np.ndarray, np.ndarray]:
+    """The normal each float of a whole sample takes, and its factor, in `sample_batch`'s layout.
+
+    An entry on or above the diagonal takes its normals at +sd (`_upper_entries`),
+    its mirror below the same ones, with the imaginary part at -sd; the diagonal's
+    imaginary parts take normal 0 at 0.  Cached per profile; both are read-only.
+    """
+    stack = _stack_cache.get(profile)
+    if stack is None:
+        n = profile.size
+        f_index, sd = _upper_entries(profile)
+        up, k = f_index[:-n], np.arange(len(sd) - n)
+        col, row = np.divmod(up // 2, n)
+        low = 2 * (col + row * n)  # the entry (column, row), below the diagonal
+        src, scale = np.zeros(2 * n * n, dtype=np.intp), np.zeros(2 * n * n)
+        at = np.concatenate([f_index, up + 1, low, low + 1])
+        src[at] = np.concatenate([np.arange(len(sd)), len(sd) + k, k, len(sd) + k])
+        scale[at] = np.concatenate([sd, sd[:-n], sd[:-n], -sd[:-n]])
+        src.flags.writeable = scale.flags.writeable = False
+        stack = _stack_cache.setdefault(profile, (src, scale))
+    return stack
+
+
 def sample_batch(profile: CovarianceProfile, stream: RngStream, count: int) -> np.ndarray:
     """Stack of `count` Hermitian samples of `profile` drawn from a single substream.
 
     Sample b takes normals b n^2, ..., (b + 1) n^2 - 1 of `stream`, so the
     block is a pure function of (stream, count); callers that key the stream
     by a fixed block start index get thread-count-independent results.  Each
-    sample of the stack is a Fortran-ordered (n, n) matrix.
+    sample of the stack is a Fortran-ordered (n, n) matrix, both triangles
+    filled: one gather of the normals (`_stack_map`) and one multiply.
     """
     n = profile.size
-    H = np.zeros((count, n * n), dtype=complex)
-    _scatter(profile, stream.generator().standard_normal((count, n * n)), 0, H)
-    H = H.reshape(count, n, n).swapaxes(1, 2)
-    H += np.conj(np.swapaxes(np.triu(H, 1), -1, -2))
-    return H
+    z = stream.generator().standard_normal((count, n * n))
+    if n == 1:  # one real entry: gathering it costs more than drawing it
+        return z.reshape(count, 1, 1) * _upper_entries(profile)[1] + 0j
+    src, scale = _stack_map(profile)
+    flat = np.take(z, src, axis=1)
+    flat *= scale
+    flat[:, 1::2 * (n + 1)] = 0.0  # +0.0 on the diagonal, whatever the sign of normal 0
+    return flat.view(complex).reshape(count, n, n).swapaxes(1, 2)
 
 
 def keyed(seed: int):

@@ -380,16 +380,16 @@ def suite_oracle(samples: int = 200_000,
 
 def suite_dual() -> list[CheckResult]:
     """The dual field representation by the transfer recursion against the pairing expansion
-    (N = 1..3) and GUE's CD sum (N = 10, 20); the imaginary parts are 0 by construction."""
+    (N = 1..3) and GUE's CD sum (N = 10, 20)."""
     from . import exact
 
-    def errors(prof, reference):  # relative error and |imag|/|real| of transfer_f2 per point
+    def errors(prof, reference):  # relative error of transfer_f2 per point
         for l0 in (0.0, 0.5, 1.0):
             for x1, x2 in ((0.0, 0.0), (0.5, -0.5), (0.3, -0.2), (0.7, 0.1)):
                 sp = scaled_lambdas(l0, x1, x2, prof.size)
                 t = exact.transfer_f2(prof, sp.lambda1, sp.lambda2)
                 ref = reference(sp.lambda1, sp.lambda2, prof)
-                yield abs(t.sign * math.exp(t.log_abs) - ref) / abs(ref), t.imag_ratio
+                yield abs(t.sign * math.exp(t.log_abs) - ref) / abs(ref)
 
     def cd_sum(x, y, prof):
         sign, log_mag = exact.gue_log_f2(prof.size, x, y)
@@ -397,15 +397,13 @@ def suite_dual() -> list[CheckResult]:
 
     out, widths = [], (0.7, 1.0, 2.0, 13.0)
     for n, ws in ((1, (1.0,)), (2, widths), (3, widths)):
-        worst, worst_im = np.array([e for W in ws for e in errors(
-            lattice.covariance_profile(lattice.Lattice1D(n), W), exact.wick_exact_f2)]).max(axis=0)
+        worst = max(e for W in ws for e in errors(
+            lattice.covariance_profile(lattice.Lattice1D(n), W), exact.wick_exact_f2))
         case = f"N={n}, W={'/'.join(f'{W:g}' for W in ws)}"
         out.append(_check_tol(f"dual rule vs exact ({case}, 12 (lambda0, xi) points each)",
                               worst, 1e-12))
-        if n < 3:
-            out.append(_check_tol(f"dual rule imaginary part, relative ({case})", worst_im, 1e-12))
     # the recursion loses digits away from the band centre: 1.7e-12 at N = 20, lambda0 = 1
-    worst = max(e for n in (10, 20) for e, _ in errors(sampler.gue_profile(n), cd_sum))
+    worst = max(e for n in (10, 20) for e in errors(sampler.gue_profile(n), cd_sum))
     out.append(_check_tol("dual rule vs GUE CD sum (N=10/20, 12 (lambda0, xi) points each; "
                           "1e-11 for the recursion's rounding off the band centre)", worst, 1e-11))
     return out

@@ -68,7 +68,6 @@ def test_rejects_empty_order():
 
 def transfer(profile, x, y):
     t = exact.transfer_f2(profile, x, y)
-    assert t.imag_ratio == 0.0 or t.imag_ratio < 1e-13
     return t.sign * math.exp(t.log_abs)
 
 

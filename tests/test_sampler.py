@@ -62,6 +62,18 @@ class TestSampleRbm:
                     assert abs(sq[i, j].real) <= 4 * se2
                     assert abs(sq[i, j].imag) <= 4 * se2
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_lower_triangle_mirrors_upper(self, n):
+        # below the diagonal the exact conjugate of the entry above it, and +0.0
+        # (not -0.0) as the imaginary part of the diagonal
+        for prof in (covariance_profile(Lattice1D(n), 2.0), sm.gue_profile(n)):
+            H = sm.sample_batch(prof, sm.RngStream(23, n), 64)
+            assert H.shape == (64, n, n)
+            i, j = np.tril_indices(n, -1)
+            assert H[:, i, j].tobytes() == np.conj(H[:, j, i]).tobytes()
+            diag_imag = np.diagonal(H, axis1=1, axis2=2).imag
+            assert diag_imag.tobytes() == np.zeros((64, n)).tobytes()
+
 
 class TestSampleGue:
     def test_single_site_variance(self):
