@@ -19,14 +19,15 @@ sample set, and errors by leave-one-block-out jackknife over 50 fixed blocks
 over samples for the spectrum.
 
 Up to n = _SMALL_N_BATCH a scan's samples come in fixed 4096-sample blocks,
-each keyed by its start index and sampled and reduced as one stack; above it,
-and in a spectrum at every n, each sample is keyed by its own index, so no bit
-depends on which thread runs a block or a sample, or in what order.  Both
-commands run one worker loop (`_sample_runs`): each worker claims the next
-run of samples in order from one locked counter (`_Claims`), which also
-counts finished work for `progress`, reduces the run to tridiagonal form and
-hands it on.  A run of keyed samples is written into a slab of the worker's
-own and reduced there in place by LAPACK (`_slab_reducer`).
+each keyed by its start index, and a run is one or two blocks sampled and
+reduced as one stack (`_stack_reducer`); above it, and in a spectrum at every
+n, each sample is keyed by its own index, so no bit depends on which thread
+runs a block or a sample, or in what order.  Both commands run one worker
+loop (`_sample_runs`): each worker claims the next run of samples in order
+from one locked counter (`_Claims`), which also counts finished work for
+`progress`, reduces the run to tridiagonal form and hands it on.  Above
+n = _SMALL_N_BATCH a run is written into a slab of the worker's own and
+reduced there in place by LAPACK (`_slab_reducer`).
 
 The exact Isserlis-pairing oracle (dimension <= 3) the Monte Carlo path is
 validated against lives in `exact`; `wick_exact_f2` here calls it.
@@ -45,7 +46,7 @@ from . import charpoly, sampler
 from .lattice import CovarianceProfile, Lattice1D, covariance_profile
 from .saddle import SpectralParams, scaled_lambdas, sine_kernel
 
-_CHUNK = 4096          # samples per sampling block of det_log_samples
+_CHUNK = 4096          # samples per keyed block up to n = _SMALL_N_BATCH; a run is 1 or 2 blocks
 _JACKKNIFE_BLOCKS = 50
 _SMALL_N_BATCH = 8     # up to and including this n the vectorized Householder path is used
 
@@ -210,6 +211,12 @@ def _run_length(entries: int, samples: int, threads: int, points: int) -> int:
     return max(1, min(2 ** 16 // entries, 2 ** 18 // points, samples // (4 * threads)))
 
 
+def _block_run(n: int, samples: int, threads: int) -> int:
+    """Samples per run up to n = _SMALL_N_BATCH: two keyed blocks while n <= 4 (at most 2^17
+    matrix entries) and there are at least 4 such runs per thread, else one."""
+    return (2 if n <= 4 and samples >= 8 * threads * _CHUNK else 1) * _CHUNK
+
+
 def _slab_reducer(profile: CovarianceProfile, seed: int, step: int):
     """One worker's reduction of runs of at most `step` samples, sample b keyed by RngStream(seed, b).
 
@@ -242,18 +249,23 @@ def _slab_reducer(profile: CovarianceProfile, seed: int, step: int):
     return reduce
 
 
-def tridiagonal_block(profile: CovarianceProfile, seed: int, start: int,
-                      count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Tridiagonal forms of the `count` samples of `profile` keyed by RngStream(seed, start).
+def _stack_reducer(profile: CovarianceProfile, seed: int, step: int):
+    """One worker's reduction of runs of `step` samples or fewer, in whole keyed blocks.
 
-    Returns d (count, n) and e (count, n - 1) >= 0, with n = profile.size.
-    This is the reduction stage of a scan's blocks up to n = _SMALL_N_BATCH,
-    sampled as one stack (`sampler.sample_batch`) and reduced by the
-    vectorized Householder, whose numpy overhead only pays across a stack;
-    it and the recurrence put the sample index last, on contiguous rows.
+    The samples of the block from s on draw n^2 normals each, one after
+    another, from RngStream(seed, s), re-keyed on one Philox (`sampler.keyed`)
+    into the block's rows of one (step, n^2) buffer.  The run is one stack
+    (`sampler.stack_from_normals`), reduced by the vectorized Householder,
+    whose numpy overhead only pays across a stack.  Returns reduce(run) -> (d, e).
     """
-    H = sampler.sample_batch(profile, sampler.RngStream(seed, start), count)
-    return charpoly.tridiagonalize_batch(H)
+    key, z = sampler.keyed(seed), np.empty((step, profile.size ** 2))
+
+    def reduce(run):
+        for first in range(0, len(run), _CHUNK):
+            key(run.start + first).standard_normal(out=z[first:min(first + _CHUNK, len(run))])
+        return charpoly.tridiagonalize_batch(sampler.stack_from_normals(profile, z[:len(run)]))
+
+    return reduce
 
 
 def _usable_cpus() -> int:
@@ -273,10 +285,11 @@ def det_log_samples(ensemble: str, n: int, W: float | None, lambdas,
     each run of samples fills its own columns of the lambda-major tables, so
     the result is bit-identical for any thread count.  `threads` workers
     (default: the usable CPUs) run the runs (`_sample_runs`): up to
-    n = _SMALL_N_BATCH one 4096-sample block each (`tridiagonal_block`),
-    above it from a slab of the worker's own (`_slab_reducer`).  An
-    error or Ctrl-C on any worker stops the others after their current run
-    and is re-raised here.  `progress(done, total)` is invoked after each
+    n = _SMALL_N_BATCH one or two keyed 4096-sample blocks as one stack each
+    (`_block_run`, `_stack_reducer`), above it from a slab of the worker's
+    own (`_slab_reducer`); each run marks its usable samples.  An error or
+    Ctrl-C on any worker stops the others after their current run and is
+    re-raised here.  `progress(done, total)` is invoked after each
     completed run, under the claim lock, from whichever worker finished it,
     with the samples of all runs completed so far, a count that only grows
     (reporting only; does not affect results).
@@ -300,19 +313,15 @@ def det_log_samples(ensemble: str, n: int, W: float | None, lambdas,
     # lambda-major: a run writes, and a pair's weights read, contiguous rows
     signs = np.empty((len(lambdas), samples), dtype=np.int8)
     logs = np.empty((len(lambdas), samples))
+    ok = np.empty(samples, dtype=bool)  # usable samples, marked by each run
     if n <= _SMALL_N_BATCH:
-        step = _CHUNK
-
-        def reducer():
-            return lambda run: tridiagonal_block(profile, seed, run.start, len(run))
+        step, make = _block_run(n, samples, threads), _stack_reducer
+        sampler._stack_map(profile)  # built here, not by every worker missing the cache at once
     else:
         # a run is bounded by its tridiagonal forms, so one char_det_many call
         # (about 1 ms at n = 64) covers several slabs
-        step = _run_length(n, samples, threads, len(lambdas))
-        sampler._upper_entries(profile)  # built here, not by every worker missing the cache at once
-
-        def reducer():
-            return _slab_reducer(profile, seed, step)
+        step, make = _run_length(n, samples, threads, len(lambdas)), _slab_reducer
+        sampler._upper_entries(profile)  # likewise
 
     def consume(i, run, d, e):
         s, lg = charpoly.char_det_many(d, e ** 2, lambdas)
@@ -320,13 +329,13 @@ def det_log_samples(ensemble: str, n: int, W: float | None, lambdas,
         with np.errstate(invalid="ignore"):
             np.copyto(signs[:, run.start:run.stop], s.T, casting="unsafe")
         logs[:, run.start:run.stop] = lg.T
+        # a sample is usable if every log is either finite or an exact-zero marker (-inf);
+        # a NaN or +inf log makes its max fail the comparison
+        np.less(lg.max(axis=1), np.inf, out=ok[run.start:run.stop])
 
-    _sample_runs(samples, step, threads, progress, reducer, consume)
+    _sample_runs(samples, step, threads, progress, lambda: make(profile, seed, step), consume)
 
-    # a sample is usable if every entry is either finite or an exact-zero marker (-inf);
-    # a NaN or +inf log makes its max fail the comparison
-    ok = logs.max(axis=0) < np.inf
-    rejected = int(samples - ok.sum())
+    rejected = samples - int(np.count_nonzero(ok))
     if rejected:
         signs, logs = signs[:, ok], logs[:, ok]
     if signs.shape[1] < 2:

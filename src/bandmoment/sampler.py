@@ -119,7 +119,7 @@ def gue_profile(n: int) -> CovarianceProfile:
 
 
 def _stack_map(profile: CovarianceProfile) -> tuple[np.ndarray, np.ndarray]:
-    """The normal each float of a whole sample takes, and its factor, in `sample_batch`'s layout.
+    """The normal each float of a whole sample takes, and its factor (`stack_from_normals`).
 
     An entry on or above the diagonal takes its normals at +sd (`_upper_entries`),
     its mirror below the same ones, with the imaginary part at -sd; the diagonal's
@@ -146,12 +146,16 @@ def sample_batch(profile: CovarianceProfile, stream: RngStream, count: int) -> n
 
     Sample b takes normals b n^2, ..., (b + 1) n^2 - 1 of `stream`, so the
     block is a pure function of (stream, count); callers that key the stream
-    by a fixed block start index get thread-count-independent results.  Each
-    sample of the stack is a Fortran-ordered (n, n) matrix, both triangles
-    filled: one gather of the normals (`_stack_map`) and one multiply.
+    by a fixed block start index get thread-count-independent results.
     """
-    n = profile.size
-    z = stream.generator().standard_normal((count, n * n))
+    z = stream.generator().standard_normal((count, profile.size ** 2))
+    return stack_from_normals(profile, z)
+
+
+def stack_from_normals(profile: CovarianceProfile, z: np.ndarray) -> np.ndarray:
+    """The (count, n, n) stack whose sample b takes the n^2 normals of row b of `z`: each
+    a Fortran-ordered matrix, both triangles filled: one gather (`_stack_map`), one multiply."""
+    count, n = len(z), profile.size
     if n == 1:  # one real entry: gathering it costs more than drawing it
         return z.reshape(count, 1, 1) * _upper_entries(profile)[1] + 0j
     src, scale = _stack_map(profile)

@@ -417,12 +417,14 @@ def test_interrupt_in_progress_cancels_queued_work(tmp_path, monkeypatch, comman
 
     started = []
     if command == "moment-scan":
-        def fake_block(profile, seed, start, count):
-            started.append(start)
-            time.sleep(0.05)
-            return np.zeros((count, profile.size)), np.zeros((count, profile.size - 1))
+        def fake_reducer(profile, seed, step):
+            def reduce(run):
+                started.append(run.start)
+                time.sleep(0.05)
+                return np.zeros((len(run), profile.size)), np.zeros((len(run), profile.size - 1))
+            return reduce
 
-        monkeypatch.setattr(mo, "tridiagonal_block", fake_block)
+        monkeypatch.setattr(mo, "_stack_reducer", fake_reducer)
         cfg = write_cfg(tmp_path / "c.cfg", BASE_SCAN.replace("samples = 2000",
                                                               f"samples = {64 * mo._CHUNK}"))
     else:

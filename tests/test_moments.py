@@ -275,12 +275,13 @@ class TestSharedBlock:
 
 
 class TestSmallNBlocks:
-    # up to n = _SMALL_N_BATCH each worker samples and reduces whole blocks
-    @pytest.mark.parametrize("n", [1, 3, mo._SMALL_N_BATCH])
+    # up to n = _SMALL_N_BATCH each worker samples and reduces runs of whole blocks
+    @pytest.mark.parametrize("n", [1, 3, 4, mo._SMALL_N_BATCH])
     @pytest.mark.parametrize("samples, chunk", [
         (100, None),       # one block: fewer blocks than workers
         (83, 40),          # blocks of 40, 40 and 3 samples
         (81, 40),          # blocks of 40, 40 and 1: a lone sample through the batch path
+        (643, 40),         # up to n = 4 runs of two blocks at 1 thread, of one at 8; last block 3
     ])
     def test_bits_independent_of_threads(self, n, samples, chunk, monkeypatch):
         if chunk is not None:
@@ -298,19 +299,28 @@ class TestSmallNBlocks:
             assert dets.signs.tobytes() == runs[0].signs.tobytes()
             assert dets.logmags.tobytes() == runs[0].logmags.tobytes()
 
+    def test_run_size(self):
+        # two blocks up to n = 4 while there are at least four such runs per thread, else one
+        enough = 8 * 3 * mo._CHUNK
+        assert mo._block_run(1, enough, 3) == mo._block_run(4, enough, 3) == 2 * mo._CHUNK
+        assert mo._block_run(5, enough, 3) == mo._block_run(8, 10 * enough, 3) == mo._CHUNK
+        assert mo._block_run(4, enough - 1, 3) == mo._block_run(4, enough, 4) == mo._CHUNK
+
     @staticmethod
-    def blocks(monkeypatch, fail):
-        """Record each block's start and thread as it begins; `fail(start, started)` may raise."""
+    def runs(monkeypatch, fail):
+        """Record each run's start and thread as it begins; `fail(start, started)` may raise."""
         started, lock = [], threading.Lock()
 
-        def fake_block(profile, seed, start, count):
-            with lock:
-                started.append((start, threading.current_thread()))
-            fail(start, started)
-            time.sleep(0.05)
-            return np.zeros((count, profile.size)), np.zeros((count, profile.size - 1))
+        def fake_reducer(profile, seed, step):
+            def reduce(run):
+                with lock:
+                    started.append((run.start, threading.current_thread()))
+                fail(run.start, started)
+                time.sleep(0.05)
+                return np.zeros((len(run), profile.size)), np.zeros((len(run), profile.size - 1))
+            return reduce
 
-        monkeypatch.setattr(mo, "tridiagonal_block", fake_block)
+        monkeypatch.setattr(mo, "_stack_reducer", fake_reducer)
         return started
 
     def test_failed_block_is_reraised_and_stops_the_rest(self, monkeypatch):
@@ -318,7 +328,7 @@ class TestSmallNBlocks:
             if start == mo._CHUNK:
                 raise RuntimeError("block 1 failed")
 
-        started = self.blocks(monkeypatch, fail)
+        started = self.runs(monkeypatch, fail)  # eight one-block runs: fewer than 4 per thread
         before = helper_threads()
         with pytest.raises(RuntimeError, match="block 1 failed"):
             mo.det_log_samples("band", 3, 2.0, [0.0], 8 * mo._CHUNK, 1, threads=2)
@@ -334,12 +344,12 @@ class TestSmallNBlocks:
                 cut.append(len(started))
                 raise KeyboardInterrupt
 
-        started = self.blocks(monkeypatch, fail)
+        started = self.runs(monkeypatch, fail)  # 32 runs of two blocks
         before = helper_threads()
         with pytest.raises(KeyboardInterrupt):
             mo.det_log_samples("band", 3, 2.0, [0.0], 64 * mo._CHUNK, 1, threads=3)
         assert helper_threads() == before
-        # after the interrupt each of the two helpers finishes at most its current block
+        # after the interrupt each of the two helpers finishes at most its current run
         assert len(started) - cut[0] <= 2
 
     def test_progress_count_only_grows(self, monkeypatch):
