@@ -168,6 +168,7 @@ def tridiagonalize_batch(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     B, n, _ = H.shape
     S = np.empty((n, n, B), dtype=complex)
     S[...] = np.moveaxis(H, 0, -1)
+    del H  # the caller's stack is freed here if this was its last reference
     d, e = np.empty((n, B)), np.empty((max(n - 1, 0), B))
     for k in range(n - 1):
         d[k] = S[k, k].real

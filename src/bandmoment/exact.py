@@ -44,7 +44,9 @@ a three-term stencil, and the conditional expectation from site j + 1 to
 site j multiplies entry (p, q, r) by rho_j^(p + q + 2r), rho_j =
 J_{j,j+1}/(sigma_j sigma_{j+1}) (Mehler's and the Hille-Hardy formula; the
 transfer-operator view of M. and T. Shcherbina, Commun. Math. Phys. 351
-(2017)).  GUE's flat profile is the chain with rho = 1.
+(2017)).  GUE's flat profile is the chain with rho = 1.  Entries with p + q
+even are real and odd ones imaginary, so the tensor holds their nonzero parts
+in float64, and it is cut by the sites left, exactly (`transfer_f2`).
 
 This module is not imported by the package, so `import bandmoment` stays as
 light as it is.
@@ -189,9 +191,7 @@ class TransferF2:
     """F2(l1, l2) from `transfer_f2`: sign * exp(log_abs), with its convergence record.
 
     `cap` is the cube cap K (degrees below K kept per axis) and `change` the
-    relative change of the value over the cap's last growth (0 if one cap
-    ran).  The value is exactly real, so its imaginary part cannot flag
-    rounding: entries with p + q even stay real and odd ones imaginary.
+    value's relative change over the cap's last growth (0 if one cap ran).
     """
 
     sign: int
@@ -227,28 +227,29 @@ def _times_x(c: np.ndarray, axis: int) -> np.ndarray:
     return out
 
 
-def _transfer(sigma, rho, l1: float, l2: float, cap: int) -> tuple[complex, float]:
-    """(-1)^n E[prod_j site_j] as mantissa * exp(log_scale), degrees below `cap` kept."""
+def _transfer(sigma, rho, l1: float, l2: float, cap: int) -> tuple[float, int]:
+    """(-1)^n E[prod_j site_j] as mantissa * 2^exponent, degrees below `cap` kept."""
     n = len(sigma)
-    a, log_scale = np.ones((1, 1, 1), dtype=complex), 0.0
+    a, exponent = np.ones((1, 1, 1)), 0
     for j in range(n - 1, -1, -1):
         if j < n - 1 and rho[j] != 1.0:  # condition site j + 1 on site j
             w = rho[j] ** np.arange(len(a))
             a = a * (w[:, None, None] * w[:, None] * w ** 2)
-        size = min(len(a) + 1, cap)
-        b = np.zeros((size,) * 3, dtype=complex)
-        b[:len(a), :len(a), :len(a)] = a[:size, :size, :size]
+        size = min(len(a) + 1, cap, j + 2)
+        b = np.zeros((size,) * 3)
+        b[:len(a), :len(a), :len(a)] = a
         r = np.arange(size)  # t L_r = -(r + 1) L_{r+1} + (2r + 1) L_r - r L_{r-1}
         tb = (2 * r + 1) * b
         tb[:, :, 1:] -= r[1:] * b[:, :, :-1]
         tb[:, :, :-1] -= r[1:] * b[:, :, 1:]
         s = sigma[j]
         xb, yb = _times_x(b, 0), _times_x(b, 1)
-        a = s * s * (_times_x(yb, 0) - tb) - 1j * s * (l2 * xb + l1 * yb) - l1 * l2 * b
-        big = np.abs(a).max()
-        a /= big
-        log_scale += math.log(big)
-    return (-1) ** n * complex(a[0, 0, 0]), log_scale
+        parity = np.where((r[:, None] + r) % 2, -s, s)[:, :, None]  # -i s: +s into even p + q
+        a = s * s * (_times_x(yb, 0) - tb) + parity * (l2 * xb + l1 * yb) - l1 * l2 * b
+        a = a[:j + 1, :j + 1, :j + 1]  # the j sites left cannot lower a degree above j to 0
+        e = math.frexp(np.abs(a).max())[1]  # a power of two: the rescale is exact
+        a, exponent = np.ldexp(a, -e), exponent + e
+    return (-1) ** n * float(a[0, 0, 0]), exponent
 
 
 def transfer_f2(profile: CovarianceProfile, l1: float, l2: float) -> TransferF2:
@@ -256,36 +257,34 @@ def transfer_f2(profile: CovarianceProfile, l1: float, l2: float) -> TransferF2:
 
     The sites are run backward, n to 1: for j < n the tensor is first
     conditioned from site j + 1 to site j, then multiplied by the site factor
-    (sigma_j x - i l1)(sigma_j y - i l2) - sigma_j^2 t, then rescaled by its
-    largest entry, whose log adds to a running scale.  The answer is (-1)^n
-    a[0, 0, 0] times the scale.  The tensor grows by one degree per axis and
-    site, up to a cube cap K: K starts at 8 and grows by 8 until the value
-    moves by at most _TOL relative, or until 2K > n.  Then the cut is exact:
-    a degree K first appears after K sites, and each site lowers a degree by
-    at most one, so the n - K sites left cannot bring it back to 0.  A cap
-    costs about n K^3: at band n = W = 64 the cap grows to K = 40 and a value
-    takes about 0.5 s (2-vCPU x86_64 VM).
+    (sigma_j x - i l1)(sigma_j y - i l2) - sigma_j^2 t, cut to the degrees
+    up to j, which the j sites left can still lower to 0, and rescaled by
+    the power of two of its largest entry, exactly, so the cut changes no
+    bit.  The answer is (-1)^n a[0, 0, 0] times 2 to the summed exponents.
+    A cube cap K starts at 8 and grows by 8 until the value moves by at most
+    _TOL relative, or until 2K > n, where the cut alone bounds the tensor
+    (about n/2 + 1 per axis).  At lambda = (0, 1/n) a value takes 0.16 s at
+    band n = W = 64 and 1.6 s at n = W = 128 (2-vCPU x86_64 VM).
 
-    Rounding, not the cap, limits the value away from the band centre, and
-    the imaginary part cannot show it: it is exactly 0 (`TransferF2`).
+    Rounding, not the cap, limits the value away from the band centre.
     Against the same recursion in 50-digit arithmetic: at x, y = 0.5, -0.4
-    and nearer 0 the relative error is at most 3e-13 at band n = W <= 24;
-    at 1.5, -1.2 it is 1.4e-12 at n = 16 and 2.1e-10 at n = 24, and on GUE's
-    flat profile 1.1e-10 at n = 20.  Raises ValueError if J is not a
+    and nearer 0 the relative error is at most 5e-15 at band n = W <= 24;
+    at 1.5, -1.2 it is 1.2e-12 at n = 16 and 1.6e-10 at n = 24, and on GUE's
+    flat profile 7.9e-11 at n = 20.  Raises ValueError if J is not a
     Gauss-Markov chain's covariance.
     """
     sigma, rho = _chain(profile)
     cap, change, last = _CAP_STEP, 0.0, None
     while True:
-        value, log_scale = _transfer(sigma, rho, l1, l2, cap)
+        value, exponent = _transfer(sigma, rho, l1, l2, cap)
         if last is not None:
-            change = abs(value.real - last[0].real * math.exp(last[1] - log_scale)) / abs(value.real)
+            change = abs(value - math.ldexp(last[0], last[1] - exponent)) / abs(value)
         if 2 * cap > len(sigma) or (last is not None and change <= _TOL):
             break
-        last = value, log_scale
+        last = value, exponent
         cap += _CAP_STEP
-    sign = (value.real > 0) - (value.real < 0)
-    log_abs = math.log(abs(value.real)) + log_scale if sign else -math.inf
+    sign = (value > 0) - (value < 0)
+    log_abs = math.log(abs(value)) + exponent * math.log(2) if sign else -math.inf
     return TransferF2(sign, log_abs, cap, change)
 
 

@@ -402,7 +402,7 @@ def suite_dual() -> list[CheckResult]:
         case = f"N={n}, W={'/'.join(f'{W:g}' for W in ws)}"
         out.append(_check_tol(f"dual rule vs exact ({case}, 12 (lambda0, xi) points each)",
                               worst, 1e-12))
-    # the recursion loses digits away from the band centre: 1.7e-12 at N = 20, lambda0 = 1
+    # the recursion loses digits away from the band centre: 7.3e-12 at N = 20, lambda0 = 1
     worst = max(e for n in (10, 20) for e in errors(sampler.gue_profile(n), cd_sum))
     out.append(_check_tol("dual rule vs GUE CD sum (N=10/20, 12 (lambda0, xi) points each; "
                           "1e-11 for the recursion's rounding off the band centre)", worst, 1e-11))

@@ -14,7 +14,8 @@ import time
 import numpy as np
 import pytest
 
-from bandmoment import cli, moments, verify
+from bandmoment import cli, exact, moments, verify
+from bandmoment.lattice import Lattice1D, covariance_profile
 from bandmoment.saddle import sine_kernel
 
 DELTA_GRID = verify.DELTA_GRID
@@ -55,7 +56,8 @@ def _scan_max_deviation(results):
 
 @pytest.mark.slow
 def test_criterion_3_sine_kernel_trend():
-    """Normalized moment approaches the sine kernel; deviation shrinks with size."""
+    """Normalized moment approaches the sine kernel; deviation shrinks with size; each
+    GUE n = 100 and band n = W = 64 ratio lies within 3 stderr of its exact value."""
     pairs = [(d / 2, -d / 2) for d in DELTA_GRID]
     samples = 20_000
 
@@ -74,6 +76,14 @@ def test_criterion_3_sine_kernel_trend():
         dev = abs(r.ratio - sine_kernel(d))
         ok_b = ok_b and dev <= 0.10 + 3.0 * r.stderr
 
+    # each ratio within 3 stderr of its exact finite-N value
+    band_profile = covariance_profile(Lattice1D(64), 64.0)
+    z_gue = [(r.ratio - exact.gue_ratio(100, r.params.lambda1, r.params.lambda2)) / r.stderr
+             for r in gue]
+    z_band = [(r.ratio - exact.transfer_ratio(band_profile, r.params.lambda1, r.params.lambda2))
+              / r.stderr for r in band]
+    ok_exact = all(abs(z) <= 3.0 for z in z_gue + z_band)
+
     trend = {}
     for n in (16, 32, 64):
         res = moments.moment_scan("band", n, float(n), 0.0, pairs, samples, 16_180)
@@ -87,8 +97,11 @@ def test_criterion_3_sine_kernel_trend():
     detail = (f"(a) GUE n=100 max dev-tol {worst_a:+.3f}; "
               f"(b) band n=W=64 {'ok' if ok_b else 'violated'}; "
               f"(c) trend maxdev {trend[16][0]:.3f} -> {trend[32][0]:.3f} -> "
-              f"{trend[64][0]:.3f} within bars")
-    report(3, ok_a and ok_b and ok_c, detail)
+              f"{trend[64][0]:.3f} within bars; "
+              f"(d) z against exact finite-N, GUE n=100 "
+              f"{', '.join(f'{z:+.2f}' for z in z_gue)}, band n=W=64 "
+              f"{', '.join(f'{z:+.2f}' for z in z_band)} (|z| <= 3)")
+    report(3, ok_a and ok_b and ok_c and ok_exact, detail)
 
 
 def test_criterion_4_lattice_toolkit():

@@ -94,9 +94,22 @@ def test_transfer_sine_kernel_deviation(n, expected):
     assert n * (ratio - sine_kernel(1.0)) == pytest.approx(expected, abs=5e-5)
 
 
+@pytest.mark.parametrize("profile", [covariance_profile(Lattice1D(24), 24.0), gue_profile(20)],
+                         ids=["band24", "gue20"])
+@pytest.mark.parametrize("lambda0", [0.0, 1.0])
+def test_transfer_trim_is_exact(profile, lambda0):
+    # after site j the tensor is cut to j + 1 degrees per axis, so no cap above the
+    # trim's largest size (about n/2 + 1) changes a bit
+    n = profile.size
+    sigma, rho = exact._chain(profile)
+    p = scaled_lambdas(lambda0, 0.5, -0.5, n)
+    values = [exact._transfer(sigma, rho, p.lambda1, p.lambda2, cap) for cap in (n // 2 + 2, n + 8)]
+    assert values[0] == values[1]
+
+
 def test_transfer_cap_settles(monkeypatch):
-    # the cap stops growing once the value moves by at most _TOL, or once 2K > n,
-    # where the cut cannot reach a[0, 0, 0]
+    # the cap stops growing once the value moves by at most _TOL, or once 2K > n: the
+    # trim by the sites left already holds the tensor to about n/2 + 1 degrees per axis
     prof = covariance_profile(Lattice1D(64), 64.0)
     monkeypatch.setattr(exact, "_TOL", 1e-2)
     t = exact.transfer_f2(prof, 0.05, -0.05)
